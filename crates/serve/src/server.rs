@@ -8,11 +8,19 @@
 //! polls the [`SnapshotCell`] (one mutex-guarded `Arc` clone — the
 //! same cost a reader of the ingest engine pays); when the published
 //! epoch changes, it derives a fresh [`ServeState`] (signature-tag
-//! index + key index) and swaps its local `Arc`. Connections clone
-//! that `Arc` — *pinning* the epoch — and keep it for their whole
-//! lifetime, so an `--ingest` crawl or a `--watch` reload can publish
-//! new epochs under live traffic while in-flight requests keep reading
-//! a consistent, immutable state.
+//! index, key index and empty body cells) and swaps its local `Arc`.
+//! Connections clone that `Arc` — *pinning* the epoch — and keep it
+//! for their whole lifetime, so an `--ingest` crawl or a `--watch`
+//! reload can publish new epochs under live traffic while in-flight
+//! requests keep reading a consistent, immutable state.
+//!
+//! # Per-epoch bodies
+//!
+//! `/stats` and `/report` depend on nothing but the epoch, so each is
+//! rendered at most once per [`ServeState`]: the first request fills a
+//! `OnceLock` with the offline renderer's output and later requests
+//! copy it. A flip builds a new state with empty cells, so a cached
+//! body can never outlive its epoch.
 //!
 //! # Determinism at the socket
 //!
@@ -27,7 +35,7 @@ use std::collections::HashMap;
 use std::io::Write as _;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use tagdist::geo::{GeoDist, TrafficModel};
@@ -53,13 +61,17 @@ pub const DEFAULT_READ_TIMEOUT_MS: u64 = 5_000;
 /// ~1 ms when idle, so ~4 polls per second).
 const WATCH_POLL_ITERATIONS: u64 = 256;
 
-/// Derived per-epoch read state: the pinned snapshot plus the two
-/// indices queries need (built once per epoch flip, never mutated).
+/// Derived per-epoch read state: the pinned snapshot, the two indices
+/// queries need (built once per epoch flip, never mutated) and the
+/// `/stats` and `/report` bodies, each rendered on its first request
+/// and then served from memory for the rest of the epoch.
 pub struct ServeState {
     /// The pinned epoch.
     pub snapshot: Arc<EpochSnapshot>,
     index: GeoTagIndex,
     keys: HashMap<String, usize>,
+    stats_body: OnceLock<String>,
+    report_body: OnceLock<String>,
 }
 
 impl std::fmt::Debug for ServeState {
@@ -74,6 +86,9 @@ impl std::fmt::Debug for ServeState {
 impl ServeState {
     /// Builds the read state for one epoch: the canonical signature
     /// index ([`query::build_geo_index`]) and the key → position map.
+    /// The body cells start empty: an eager `/report` would add ~0.6 s
+    /// and 63 MB to every set-up and every epoch flip of a 120k-video
+    /// crawl.
     pub fn build(snapshot: Arc<EpochSnapshot>, traffic: &GeoDist) -> ServeState {
         let index = query::build_geo_index(&snapshot.table, traffic);
         let keys = (0..snapshot.clean.len())
@@ -83,6 +98,8 @@ impl ServeState {
             snapshot,
             index,
             keys,
+            stats_body: OnceLock::new(),
+            report_body: OnceLock::new(),
         }
     }
 
@@ -101,8 +118,14 @@ impl ServeState {
         let table = &self.snapshot.table;
         let answer = match (head, segments.next()) {
             ("healthz", None) => return (200, "OK", format!("ok epoch {}\n", self.snapshot.epoch)),
-            ("stats", None) => Ok(query::stats_body(clean)),
-            ("report", None) => Ok(query::ingest_report_body(clean, table)),
+            ("stats", None) => Ok(self
+                .stats_body
+                .get_or_init(|| query::stats_body(clean))
+                .clone()),
+            ("report", None) => Ok(self
+                .report_body
+                .get_or_init(|| query::ingest_report_body(clean, table))
+                .clone()),
             ("tag", Some(enc)) => match percent_decode(enc) {
                 Some(name) => query::tag_body(clean, table, traffic.distribution(), &name),
                 None => return bad_encoding(enc),
@@ -549,6 +572,47 @@ mod tests {
         let (status, _, body) = state.respond(&traffic, "/healthz");
         assert_eq!(status, 200);
         assert_eq!(body, "ok epoch 1\n");
+    }
+
+    #[test]
+    fn per_epoch_bodies_are_stable_and_follow_an_epoch_flip() {
+        let cell = Arc::new(SnapshotCell::new());
+        let first = snapshot(60, 1);
+        let second = snapshot(90, 2);
+        let stats_of = |s: &EpochSnapshot| query::stats_body(&s.clean);
+        let report_of = |s: &EpochSnapshot| query::ingest_report_body(&s.clean, &s.table);
+        assert_ne!(stats_of(&first), stats_of(&second));
+        assert_ne!(report_of(&first), report_of(&second));
+
+        cell.store(Arc::clone(&first));
+        let (addr, shutdown, _stats, handle) = boot(Arc::clone(&cell));
+        // Fill both cells under epoch 1; repeats must read the same bytes.
+        for _ in 0..3 {
+            assert_eq!(get(addr, "/stats").1, stats_of(&first));
+            assert_eq!(get(addr, "/report").1, report_of(&first));
+        }
+
+        cell.store(Arc::clone(&second));
+        let mut flipped = false;
+        for _ in 0..200 {
+            if get(addr, "/healthz").1 == "ok epoch 2\n" {
+                flipped = true;
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert!(flipped, "server never observed epoch 2");
+        for _ in 0..3 {
+            let stats = get(addr, "/stats").1;
+            let report = get(addr, "/report").1;
+            assert_eq!(stats, stats_of(&second));
+            assert_eq!(report, report_of(&second));
+            assert_ne!(stats, stats_of(&first), "stale /stats after the flip");
+            assert_ne!(report, report_of(&first), "stale /report after the flip");
+        }
+
+        shutdown.store(true, Ordering::SeqCst);
+        handle.join().unwrap().unwrap();
     }
 
     #[test]

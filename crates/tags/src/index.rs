@@ -26,6 +26,11 @@ pub struct ScoredTag {
     pub lift: f64,
 }
 
+/// A candidate list is pruned back to its top `k` once it holds this
+/// many times `k` entries, so building keeps `O(countries × k)`
+/// candidates instead of every nonzero (tag, country) cell.
+const PRUNE_FACTOR: usize = 4;
+
 /// Per-country tag rankings.
 #[derive(Debug, Clone)]
 pub struct GeoTagIndex {
@@ -58,14 +63,15 @@ impl GeoTagIndex {
             "traffic and table must cover the same world"
         );
         let countries = table.country_count();
-        let mut by_views: Vec<Vec<ScoredTag>> = vec![Vec::new(); countries];
-        let mut by_lift: Vec<Vec<ScoredTag>> = vec![Vec::new(); countries];
+        let mut by_views = vec![Candidates::default(); countries];
+        let mut by_lift = vec![Candidates::default(); countries];
 
         for (tag, views) in table.iter() {
             let total = kernel::sum(views);
             if total <= 0.0 {
                 continue;
             }
+            let lift_ranked = total >= min_views && table.video_count(tag) >= min_videos;
             for (index, &v) in views.iter().enumerate() {
                 if v <= 0.0 {
                     continue;
@@ -83,31 +89,17 @@ impl GeoTagIndex {
                     views: v,
                     lift,
                 };
-                by_views[country.index()].push(scored);
-                if total >= min_views && table.video_count(tag) >= min_videos {
-                    by_lift[country.index()].push(scored);
+                by_views[country.index()].offer(scored, k, by_views_order);
+                if lift_ranked {
+                    by_lift[country.index()].offer(scored, k, by_lift_order);
                 }
             }
         }
 
-        // Selection instead of a full sort: with vocabulary-sized
-        // candidate lists and small k, select_nth + sorting k winners
-        // beats sorting everything. The unique-tag tiebreak makes the
-        // comparators total orders, so the rankings are identical to a
-        // full sort's first k entries (ties included).
-        for list in &mut by_views {
-            let candidates = core::mem::take(list);
-            *list = top_k_by(candidates, k, |a, b| {
-                b.views.total_cmp(&a.views).then(a.tag.cmp(&b.tag))
-            });
+        GeoTagIndex {
+            by_views: Candidates::finish(by_views, k, by_views_order),
+            by_lift: Candidates::finish(by_lift, k, by_lift_order),
         }
-        for list in &mut by_lift {
-            let candidates = core::mem::take(list);
-            *list = top_k_by(candidates, k, |a, b| {
-                b.lift.total_cmp(&a.lift).then(a.tag.cmp(&b.tag))
-            });
-        }
-        GeoTagIndex { by_views, by_lift }
     }
 
     /// Number of countries indexed.
@@ -131,6 +123,57 @@ impl GeoTagIndex {
     /// Panics if `country` is out of range.
     pub fn top_by_lift(&self, country: CountryId) -> &[ScoredTag] {
         &self.by_lift[country.index()]
+    }
+}
+
+/// A ranking: best first, as a total order.
+type Order = fn(&ScoredTag, &ScoredTag) -> core::cmp::Ordering;
+
+/// Descending views, ties broken by ascending tag.
+fn by_views_order(a: &ScoredTag, b: &ScoredTag) -> core::cmp::Ordering {
+    b.views.total_cmp(&a.views).then(a.tag.cmp(&b.tag))
+}
+
+/// Descending lift, ties broken by ascending tag.
+fn by_lift_order(a: &ScoredTag, b: &ScoredTag) -> core::cmp::Ordering {
+    b.lift.total_cmp(&a.lift).then(a.tag.cmp(&b.tag))
+}
+
+/// One country's candidates under one ranking while the index builds.
+///
+/// The list is pruned back to its top `k` whenever it holds
+/// `PRUNE_FACTOR × k` entries, and the `k`-th best entry after the
+/// latest prune becomes the bar a newcomer must beat to be kept.
+/// Both steps are exact: a dropped entry is beaten by `k` kept ones,
+/// and entries only ever join, so it can never re-enter the final top
+/// `k`. The unique tag tiebreak makes the order total, so ties prune
+/// the same way a full sort would rank them.
+#[derive(Debug, Clone, Default)]
+struct Candidates {
+    list: Vec<ScoredTag>,
+    bar: Option<ScoredTag>,
+}
+
+impl Candidates {
+    /// Adds `scored` unless the bar beats it, pruning the list first
+    /// when it is full.
+    fn offer(&mut self, scored: ScoredTag, k: usize, order: Order) {
+        if self.bar.is_some_and(|bar| order(&scored, &bar).is_gt()) {
+            return;
+        }
+        if self.list.len() >= k.saturating_mul(PRUNE_FACTOR).max(1) {
+            self.list = top_k_by(core::mem::take(&mut self.list), k, order);
+            self.bar = self.list.last().copied();
+        }
+        self.list.push(scored);
+    }
+
+    /// Each country's final top `k`, best first.
+    fn finish(lists: Vec<Candidates>, k: usize, order: Order) -> Vec<Vec<ScoredTag>> {
+        lists
+            .into_iter()
+            .map(|c| top_k_by(c.list, k, order))
+            .collect()
     }
 }
 
@@ -265,6 +308,151 @@ mod tests {
             }
         }
         let _ = clean;
+    }
+
+    /// Full-sort reference: every nonzero cell scored and sorted.
+    fn reference(
+        table: &TagViewTable,
+        traffic: &GeoDist,
+        min_views: f64,
+        min_videos: usize,
+    ) -> (Vec<Vec<ScoredTag>>, Vec<Vec<ScoredTag>>) {
+        let countries = table.country_count();
+        let mut by_views = vec![Vec::new(); countries];
+        let mut by_lift = vec![Vec::new(); countries];
+        for (tag, views) in table.iter() {
+            let total: f64 = kernel::sum(views);
+            for (c, &v) in views.iter().enumerate() {
+                if total <= 0.0 || v <= 0.0 {
+                    continue;
+                }
+                let traffic_share = traffic.prob(CountryId::from_index(c));
+                let lift = if traffic_share > 0.0 {
+                    v / total / traffic_share
+                } else {
+                    0.0
+                };
+                let scored = ScoredTag {
+                    tag,
+                    views: v,
+                    lift,
+                };
+                by_views[c].push(scored);
+                if total >= min_views && table.video_count(tag) >= min_videos {
+                    by_lift[c].push(scored);
+                }
+            }
+        }
+        for list in by_views.iter_mut() {
+            list.sort_by(by_views_order);
+        }
+        for list in by_lift.iter_mut() {
+            list.sort_by(by_lift_order);
+        }
+        (by_views, by_lift)
+    }
+
+    /// The bounded candidate lists must prune many times per country
+    /// and still equal a full sort, with tied views and tied lifts
+    /// deciding membership at the cut.
+    #[test]
+    fn bounded_build_equals_full_sort_across_many_prunes() {
+        let cc = 3;
+        let traffic = GeoDist::from_counts(&CountryVec::from_values(vec![5.0, 3.0, 2.0])).unwrap();
+        let mut b = DatasetBuilder::new(cc);
+        let pop = |v: Vec<u8>| RawPopularity::decode(v, cc);
+        // 1,800 tags, in tag-id order. Tags in a group of 4 share their
+        // view total and chart, so their views and lifts tie exactly.
+        // Views and country 2's chart byte fall along the order with
+        // hashed noise, so later tags keep landing near rank k after
+        // the first prune. Country 0's chart is zero for a third of the
+        // groups. Every fifth tag gets a second carrier so the
+        // `min_videos` filter splits the lift candidates.
+        for i in 0..1_800usize {
+            let group = i / 4;
+            let noise = group.wrapping_mul(2_654_435_761) % 1_000_003;
+            let chart = vec![
+                (noise % 3 * 30) as u8,
+                30,
+                (61 - (group + noise % 120) / 14).max(21) as u8,
+            ];
+            let tag = format!("t{i:04}");
+            let views = (200_000 - 300 * group + 100 * (noise / 3 % 400)) as u64;
+            b.push_video(&format!("v{i}"), views, &[tag.as_str()], pop(chart.clone()));
+            if i % 5 == 0 {
+                b.push_video(&format!("w{i}"), views, &[tag.as_str()], pop(chart));
+            }
+        }
+        let clean = filter(&b.build());
+        let recon = Reconstruction::compute(&clean, &traffic).unwrap();
+        let table = TagViewTable::aggregate(&clean, &recon);
+        assert!(table.populated_tags() >= 1_800);
+
+        for (min_views, min_videos) in [(0.0, 0), (1_500.0, 2)] {
+            let (views, lift) = reference(&table, &traffic, min_views, min_videos);
+            for k in [1, 8, 50] {
+                let index = GeoTagIndex::build(&table, &traffic, k, min_views, min_videos);
+                for c in 0..cc {
+                    if min_videos == 0 {
+                        // Every country's candidates cross the prune
+                        // limit several times over.
+                        assert!(lift[c].len() >= 4 * PRUNE_FACTOR * k, "c={c}");
+                    }
+                    let id = CountryId::from_index(c);
+                    let top_views = &views[c][..k.min(views[c].len())];
+                    let top_lift = &lift[c][..k.min(lift[c].len())];
+                    assert_eq!(index.top_by_views(id), top_views, "views k={k} c={c}");
+                    assert_eq!(index.top_by_lift(id), top_lift, "lift k={k} c={c}");
+                }
+            }
+        }
+    }
+
+    /// Streams built to land one late entry exactly at rank `k` after
+    /// a prune, either strictly between the scores at ranks `k - 1` and
+    /// `k` or tying the score at rank `k` with a smaller tag id. The
+    /// kept candidates must still equal a full sort.
+    #[test]
+    fn candidates_keep_the_full_sort_top_k_at_the_bar() {
+        let scored = |tag: usize, score: f64| ScoredTag {
+            tag: TagId::from_index(tag),
+            views: score,
+            lift: score,
+        };
+        for k in [1, 8, 50] {
+            for order in [by_views_order as Order, by_lift_order] {
+                for tie in [false, true] {
+                    // Falling scores in tied pairs (for even k, ranks k
+                    // and k + 1 share one), long enough to prune
+                    // several times.
+                    let n = 6 * k + 10;
+                    let mut stream: Vec<ScoredTag> = (0..n)
+                        .map(|i| scored(1_000 + i, (n - i.div_ceil(2)) as f64))
+                        .collect();
+                    let kth = stream[k - 1].views;
+                    let late = if tie {
+                        scored(k, kth)
+                    } else if k > 1 {
+                        scored(2_000, (stream[k - 2].views + kth) / 2.0)
+                    } else {
+                        scored(2_000, kth + 0.5)
+                    };
+                    stream.push(late);
+                    // Worse entries after, so the list prunes again.
+                    stream.extend((0..5 * k + 1).map(|i| scored(3_000 + i, -(i as f64))));
+
+                    let mut candidates = Candidates::default();
+                    for &s in &stream {
+                        candidates.offer(s, k, order);
+                    }
+                    let kept = Candidates::finish(vec![candidates], k, order).remove(0);
+                    stream.sort_by(order);
+                    stream.truncate(k);
+                    assert_eq!(kept[k - 1], late, "k={k} tie={tie}");
+                    assert_eq!(kept, stream, "k={k} tie={tie}");
+                }
+            }
+        }
     }
 
     #[test]
