@@ -21,17 +21,18 @@
 //! corpora — is encoded to both on-disk formats (TSV and the `bin v1`
 //! binary columnar format) and cold-loaded, measuring wall clock,
 //! bytes per video, load allocations and peak live heap through the
-//! counting allocator. Binary decode is measured twice: an owned
-//! decode from memory and a zero-copy `Mmap` + `decode_borrowed` load
-//! from disk. Both must stay O(sections): the run aborts if either
-//! allocates more than a fixed constant, however large the corpus.
+//! counting allocator. Binary decode is measured twice: a borrowed
+//! `decode_borrowed` over the in-memory image and a zero-copy `Mmap` +
+//! `decode_borrowed` load from disk. Both must stay O(sections): the
+//! run aborts if either allocates more than a fixed constant, however
+//! large the corpus.
 //!
 //! Since PR 8 a `pipeline_columnar` experiment runs the whole
 //! bin-to-report pipeline both ways — the record path
-//! (decode → `to_dataset` → `filter`) against the columnar-native path
-//! (`decode_borrowed` → `filter_columnar`) through reconstruction and
-//! aggregation — asserting the outputs identical and reporting the
-//! wall-clock and allocation gap.
+//! (`decode_borrowed` → `to_dataset` → `filter`) against the
+//! columnar-native path (`decode_borrowed` → `filter_columnar`)
+//! through reconstruction and aggregation — asserting the outputs
+//! identical and reporting the wall-clock and allocation gap.
 //!
 //! Since PR 9 an `incremental_ingest` experiment streams the corpus
 //! through the delta-applied ingest engine in fixed-size batches —
@@ -77,8 +78,8 @@ use std::time::Instant;
 
 use tagdist::crawler::{crawl_parallel, crawl_parallel_obs, CrawlConfig};
 use tagdist::dataset::{
-    binfmt, filter, filter_columnar, tsv, write_binary, CleanDataset, ColumnarDataset,
-    ColumnarRead, Dataset, DatasetBuilder, Mmap, RawPopularity, TagId,
+    binfmt, filter, filter_columnar, tsv, write_binary, CleanDataset, Dataset, DatasetBuilder,
+    Mmap, RawPopularity, TagId,
 };
 use tagdist::geo::{CountryVec, GeoDist, TrafficModel};
 use tagdist::obs::{MetricsReport, Recorder};
@@ -180,8 +181,8 @@ fn measured<R>(runs: usize, mut f: impl FnMut() -> R) -> (f64, u64, R) {
     (best, allocation_count() - before, result)
 }
 
-/// The binary decoder allocates one buffer per section plus a bounded
-/// handful of header temporaries — never per video. The run aborts if
+/// The borrowed binary decoder allocates only a bounded handful of
+/// header temporaries — never per video. The run aborts if
 /// a load exceeds this ceiling, whatever the corpus size.
 const MAX_BINARY_LOAD_ALLOCATIONS: u64 = 256;
 
@@ -236,9 +237,9 @@ impl IoSample {
 
 /// Encodes `dataset` to TSV and binary in memory, then cold-loads each
 /// encoding: TSV through the row parser into a [`Dataset`], binary
-/// twice — an owned decode from memory into a [`ColumnarDataset`], and
-/// the zero-copy path (the file mapped with [`Mmap`], validated and
-/// borrowed in place by `decode_borrowed`, never copied to the heap).
+/// twice — a borrowed decode of the in-memory image, and the zero-copy
+/// path (the file mapped with [`Mmap`], validated and borrowed in
+/// place by `decode_borrowed`, never copied to the heap).
 fn dataset_io(corpus: &'static str, dataset: &Dataset, runs: usize) -> IoSample {
     let mut tsv_bytes = Vec::new();
     tsv::write(dataset, &mut tsv_bytes).expect("TSV encode");
@@ -247,8 +248,9 @@ fn dataset_io(corpus: &'static str, dataset: &Dataset, runs: usize) -> IoSample 
 
     let (tsv_cost, parsed) =
         measured_load(runs, || tsv::read(&tsv_bytes[..]).expect("TSV decodes"));
-    let (bin_cost, columnar) =
-        measured_load(runs, || binfmt::decode(&bin_bytes).expect("binary decodes"));
+    let (bin_cost, view) = measured_load(runs, || {
+        binfmt::decode_borrowed(&bin_bytes).expect("binary decodes")
+    });
     let path =
         std::env::temp_dir().join(format!("tagdist-bench-{}-{corpus}.bin", std::process::id()));
     std::fs::write(&path, &bin_bytes).expect("write bin corpus");
@@ -261,7 +263,7 @@ fn dataset_io(corpus: &'static str, dataset: &Dataset, runs: usize) -> IoSample 
     drop(map);
     std::fs::remove_file(&path).expect("remove bin corpus");
     assert_eq!(parsed.len(), dataset.len());
-    assert_eq!(columnar.len(), dataset.len());
+    assert_eq!(view.len(), dataset.len());
     for (what, cost) in [("load", &bin_cost), ("mmap load", &mmap_cost)] {
         assert!(
             cost.allocations <= MAX_BINARY_LOAD_ALLOCATIONS,
@@ -309,7 +311,7 @@ struct PipelineCost {
 /// The `pipeline_columnar` experiment: the same `bin v1` image driven
 /// through reconstruction and aggregation along both read paths.
 ///
-/// * **record** — owned decode, `to_dataset` back into per-video
+/// * **record** — borrowed decode, `to_dataset` back into per-video
 ///   records, then the record `filter` (what every consumer did before
 ///   the columnar-native path existed);
 /// * **columnar** — borrowed decode straight into `filter_columnar`,
@@ -325,11 +327,11 @@ fn pipeline_columnar(
 ) -> (PipelineCost, PipelineCost) {
     let mut filter_record_allocs = 0;
     let mut run_record = || {
-        let columnar = binfmt::decode(bin).expect("binary decodes");
+        let view = binfmt::decode_borrowed(bin).expect("binary decodes");
         // The record path cannot filter without records: its filter
         // stage is materialize-then-filter, and is counted as such.
         let before = allocation_count();
-        let dataset = columnar.to_dataset();
+        let dataset = view.to_dataset();
         let clean = filter(&dataset);
         filter_record_allocs = allocation_count() - before;
         let recon = Reconstruction::compute(&clean, traffic).expect("corpus carries views");
@@ -684,27 +686,22 @@ fn instrumented_pass(
     let obs = Recorder::new();
     {
         let root = obs.span("bench");
-        // The columnar codec, gated end to end: encode allocations,
-        // decode allocations (O(sections) by construction) and the
-        // `dataset.*` section-size gauges are all exact functions of
+        // The columnar codec, gated end to end: encode allocations and
+        // the `dataset.*` section-size gauges are exact functions of
         // the seeded corpus.
-        let columnar = ColumnarDataset::from_dataset(raw).expect("corpus fits bin v1 limits");
-        columnar.record_gauges(&obs);
         let before = allocation_count();
         let mut bin = Vec::new();
         write_binary(raw, &mut bin).expect("binary encode");
         obs.add("alloc.dataset_bin_encode", allocation_count() - before);
-        let before = allocation_count();
-        let decoded = binfmt::decode(&bin).expect("binary decode");
-        obs.add("alloc.dataset_bin_decode", allocation_count() - before);
-        assert_eq!(decoded.len(), raw.len());
+        let view = binfmt::decode_borrowed(&bin).expect("binary decode");
+        view.record_gauges(&obs);
+        assert_eq!(view.len(), raw.len());
         // The two filter paths, gated against each other: the record
         // path pays record materialization, the columnar path filters
         // the borrowed sections in place. Outputs must agree exactly.
         let before = allocation_count();
-        let clean_record = filter(&decoded.to_dataset());
+        let clean_record = filter(&view.to_dataset());
         obs.add("alloc.filter_record", allocation_count() - before);
-        let view = binfmt::decode_borrowed(&bin).expect("binary decode");
         let before = allocation_count();
         let clean_columnar = filter_columnar(&view);
         obs.add("alloc.filter_columnar", allocation_count() - before);

@@ -18,7 +18,7 @@ use tagdist::crawler::{
 };
 use tagdist::dataset::{
     binfmt, decode_any, merge, read_any, sample_stratified, sniff, tsv, write_binary, CleanDataset,
-    ColumnarRead, Dataset, DatasetFormat, Mmap,
+    Dataset, DatasetFormat, Mmap,
 };
 use tagdist::geo::GeoDist;
 use tagdist::geo::{world, TrafficModel};
@@ -885,7 +885,12 @@ fn convert_cmd<W: Write>(args: &Args, out: &mut W) -> Result<(), String> {
         // byte-identical to the input.
         let view =
             binfmt::decode_borrowed(&map).map_err(|e| format!("cannot verify {path}: {e}"))?;
-        std::fs::write(out_path, &map[..]).map_err(|e| format!("cannot write {out_path}: {e}"))?;
+        // Writing the input onto itself would truncate the file under
+        // its own mapping; the verified input already is the output.
+        if !same_file(path, out_path) {
+            std::fs::write(out_path, &map[..])
+                .map_err(|e| format!("cannot write {out_path}: {e}"))?;
+        }
         writeln!(
             out,
             "verified {} records; copied binary image through to {out_path}",
@@ -912,6 +917,15 @@ fn convert_cmd<W: Write>(args: &Args, out: &mut W) -> Result<(), String> {
     )
     .map_err(|e| e.to_string())?;
     Ok(())
+}
+
+/// Whether two paths name the same existing file (symlinks and
+/// relative components resolved).
+fn same_file(a: &str, b: &str) -> bool {
+    match (std::fs::canonicalize(a), std::fs::canonicalize(b)) {
+        (Ok(a), Ok(b)) => a == b,
+        _ => false,
+    }
 }
 
 #[cfg(test)]
@@ -1193,6 +1207,40 @@ mod tests {
         let err = run(&["convert", &bin_path, "--to", "bin", "--out", &copy_path]).unwrap_err();
         assert!(err.contains("cannot verify"), "{err}");
         for p in [&crawl_path, &bin_path, &copy_path] {
+            std::fs::remove_file(p).ok();
+        }
+    }
+
+    #[test]
+    fn convert_bin_onto_itself_leaves_the_file_intact() {
+        let crawl_path = temp("inplace.tsv");
+        let bin_path = temp("inplace.bin");
+        run(&[
+            "generate",
+            "--videos",
+            "1000",
+            "--seed",
+            "23",
+            "--out",
+            &crawl_path,
+        ])
+        .unwrap();
+        run(&["convert", &crawl_path, "--to", "bin", "--out", &bin_path]).unwrap();
+        let before = std::fs::read(&bin_path).unwrap();
+        // The same file under a second spelling must be caught too.
+        let dir = std::path::Path::new(&bin_path).parent().unwrap();
+        let name = std::path::Path::new(&bin_path).file_name().unwrap();
+        let aliased = dir.join(".").join(name).to_string_lossy().into_owned();
+        for out_path in [&bin_path, &aliased] {
+            let text = run(&["convert", &bin_path, "--to", "bin", "--out", out_path]).unwrap();
+            assert!(text.contains("verified"), "{text}");
+            assert_eq!(
+                std::fs::read(&bin_path).unwrap(),
+                before,
+                "in-place bin -> bin must leave the input byte-identical"
+            );
+        }
+        for p in [&crawl_path, &bin_path] {
             std::fs::remove_file(p).ok();
         }
     }

@@ -35,29 +35,41 @@
 //! so one 24-byte sniff distinguishes the two (see
 //! [`format`](crate::format)). Encoding is deterministic — the same
 //! dataset always produces byte-identical files — because every column
-//! is emitted in dense id order and the section table is fixed.
+//! is emitted in dense id order and the section table is fixed. The
+//! encoder builds the little-endian sections straight from a
+//! [`Dataset`]'s records and writes them through one section writer
+//! that computes the checksums.
 //!
-//! Decoding has one validation path with two exits.
-//! [`decode_borrowed`] walks the image once, verifies every section
-//! checksum and every cross-section invariant (monotone offsets,
-//! UTF-8 boundaries, tag-id bounds, popularity shapes), and returns a
-//! [`ColumnarView`] whose sections *borrow* the input — zero copies,
-//! which over an [`Mmap`](crate::mmap::Mmap) makes loading a
-//! page-cache-speed operation. [`decode`] is `decode_borrowed` +
-//! [`ColumnarView::to_owned`]: one allocation per section
-//! (`chunks_exact` + `from_le_bytes`; no `unsafe`), so the owned
-//! allocation count is O(sections), never O(videos). Because sections
-//! are concatenated without padding, numeric sections are unaligned in
-//! the file; the borrowed view keeps them as `&[u8]` and decodes each
-//! access with `from_le_bytes` instead of transmuting.
+//! Decoding has one validation path: [`decode_borrowed`] walks the
+//! image once, verifies every section checksum and every cross-section
+//! invariant (monotone offsets, UTF-8 boundaries, tag-id bounds,
+//! popularity shapes), and returns a [`ColumnarView`] whose sections
+//! *borrow* the input — zero copies, which over an
+//! [`Mmap`](crate::mmap::Mmap) makes loading a page-cache-speed
+//! operation. Code that wants records calls
+//! [`ColumnarView::to_dataset`]. Because sections are concatenated
+//! without padding, numeric sections are unaligned in the file; the
+//! view keeps them as `&[u8]` and decodes each access with
+//! `from_le_bytes` instead of transmuting.
 
-use std::io::{Read, Write};
+use std::io::Write;
 
-use crate::columnar::{ColumnarDataset, ColumnarRead, POP_CORRUPT, POP_MISSING, POP_VALID};
+use tagdist_obs::Recorder;
+
+use crate::dataset::Dataset;
 use crate::error::DatasetError;
+use crate::record::{RawPopularity, VideoId, VideoRecord};
+use crate::tag::{TagId, TagInterner};
 
 /// First bytes of every binary dataset file.
 pub const MAGIC: &[u8] = b"#tagdist-dataset bin v1\n";
+
+/// Popularity sentinel: no chart was served.
+pub const POP_MISSING: u8 = 0;
+/// Popularity sentinel: a structurally valid intensity vector.
+pub const POP_VALID: u8 = 1;
+/// Popularity sentinel: raw bytes that failed decoding.
+pub const POP_CORRUPT: u8 = 2;
 
 /// Section ids, in file order.
 const SECTION_IDS: [u32; 12] = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12];
@@ -82,67 +94,122 @@ fn format_err(message: impl Into<String>) -> DatasetError {
     }
 }
 
-fn u32s_to_bytes(values: &[u32]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(values.len() * 4);
-    for v in values {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    out
+/// Narrows a count, length or id to the `u32` range of `bin v1`.
+fn to_u32(index: usize, what: &str) -> Result<u32, DatasetError> {
+    u32::try_from(index)
+        .map_err(|_| format_err(format!("{what} ({index}) exceeds the u32 range of bin v1")))
 }
 
-fn u64s_to_bytes(values: &[u64]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(values.len() * 8);
-    for v in values {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    out
-}
-
-/// Serializes a columnar dataset to the binary format.
-///
-/// Deterministic: the same dataset produces byte-identical output.
-///
-/// # Errors
-///
-/// Propagates any I/O failure from `writer`.
-pub fn write<W: Write>(dataset: &ColumnarDataset, mut writer: W) -> Result<(), DatasetError> {
-    let sections: [Vec<u8>; 12] = [
-        u32s_to_bytes(&dataset.key_offsets),
-        dataset.key_bytes.as_bytes().to_vec(),
-        u32s_to_bytes(&dataset.title_offsets),
-        dataset.title_bytes.as_bytes().to_vec(),
-        u64s_to_bytes(&dataset.total_views),
-        u32s_to_bytes(&dataset.tag_rows),
-        u32s_to_bytes(&dataset.tag_ids),
-        dataset.pop_kind.clone(),
-        u32s_to_bytes(&dataset.pop_offsets),
-        dataset.pop_bytes.clone(),
-        u32s_to_bytes(&dataset.tagname_offsets),
-        dataset.tagname_bytes.as_bytes().to_vec(),
-    ];
-
-    writer.write_all(MAGIC)?;
-    writer.write_all(&dataset.country_count.to_le_bytes())?;
-    let video_count = u32::try_from(dataset.len())
-        .map_err(|_| format_err(format!("video count {} overflows u32", dataset.len())))?;
-    writer.write_all(&video_count.to_le_bytes())?;
-    let tag_count = u32::try_from(dataset.tag_count())
-        .map_err(|_| format_err(format!("tag count {} overflows u32", dataset.tag_count())))?;
-    writer.write_all(&tag_count.to_le_bytes())?;
-    writer.write_all(&u32::try_from(SECTION_IDS.len()).unwrap_or(0).to_le_bytes())?;
-
-    let mut offset = 0u64;
-    for (id, bytes) in SECTION_IDS.iter().zip(&sections) {
-        writer.write_all(&id.to_le_bytes())?;
-        writer.write_all(&offset.to_le_bytes())?;
-        writer.write_all(&(bytes.len() as u64).to_le_bytes())?;
-        writer.write_all(&fnv1a(bytes).to_le_bytes())?;
-        offset += bytes.len() as u64;
-    }
-    for bytes in &sections {
-        writer.write_all(bytes)?;
-    }
+/// Appends `index` to a section as a little-endian `u32`.
+fn push_u32(section: &mut Vec<u8>, index: usize, what: &str) -> Result<(), DatasetError> {
+    section.extend_from_slice(&to_u32(index, what)?.to_le_bytes());
     Ok(())
+}
+
+/// The header counts and the twelve encoded sections of one `bin v1`
+/// image, in file order.
+pub(crate) struct Sections {
+    counts: [u32; 3],
+    bytes: [Vec<u8>; 12],
+}
+
+impl Sections {
+    /// Encodes a record [`Dataset`] section by section.
+    ///
+    /// Deterministic: videos are visited in id order and tag names in
+    /// interner order, so the same dataset always produces the same
+    /// bytes.
+    ///
+    /// # Errors
+    ///
+    /// [`DatasetError::Format`] if a count, a string pool, the
+    /// popularity block, the tag spine or a tag id exceeds the `u32`
+    /// range (≈4 GiB per pool; beyond v1's design point).
+    pub(crate) fn from_dataset(dataset: &Dataset) -> Result<Sections, DatasetError> {
+        let n = dataset.len();
+        let offsets = |rows: usize| {
+            let mut section = Vec::with_capacity((rows + 1) * 4);
+            section.extend_from_slice(&0u32.to_le_bytes());
+            section
+        };
+        let (mut key_offsets, mut key_bytes) = (offsets(n), Vec::new());
+        let (mut title_offsets, mut title_bytes) = (offsets(n), Vec::new());
+        let (mut tag_rows, mut tag_ids) = (offsets(n), Vec::new());
+        let (mut pop_offsets, mut pop_bytes) = (offsets(n), Vec::new());
+        let mut total_views = Vec::with_capacity(n * 8);
+        let mut pop_kind = Vec::with_capacity(n);
+        for video in dataset.iter() {
+            key_bytes.extend_from_slice(video.key.as_bytes());
+            push_u32(&mut key_offsets, key_bytes.len(), "video key pool")?;
+            title_bytes.extend_from_slice(video.title.as_bytes());
+            push_u32(&mut title_offsets, title_bytes.len(), "title pool")?;
+            total_views.extend_from_slice(&video.total_views.to_le_bytes());
+            for &tag in &video.tags {
+                push_u32(&mut tag_ids, tag.index(), "tag id")?;
+            }
+            push_u32(&mut tag_rows, tag_ids.len() / 4, "tag spine")?;
+            let (kind, payload): (u8, &[u8]) = match &video.popularity {
+                RawPopularity::Missing => (POP_MISSING, &[]),
+                RawPopularity::Valid(p) => (POP_VALID, p.as_slice()),
+                RawPopularity::Corrupt(bytes) => (POP_CORRUPT, bytes),
+            };
+            pop_kind.push(kind);
+            pop_bytes.extend_from_slice(payload);
+            push_u32(&mut pop_offsets, pop_bytes.len(), "popularity block")?;
+        }
+        let (mut tagname_offsets, mut tagname_bytes) = (offsets(dataset.tags().len()), Vec::new());
+        for (_, name) in dataset.tags().iter() {
+            tagname_bytes.extend_from_slice(name.as_bytes());
+            push_u32(&mut tagname_offsets, tagname_bytes.len(), "tag-name pool")?;
+        }
+
+        Ok(Sections {
+            counts: [
+                to_u32(dataset.country_count(), "country count")?,
+                to_u32(n, "video count")?,
+                to_u32(dataset.tags().len(), "tag count")?,
+            ],
+            bytes: [
+                key_offsets,
+                key_bytes,
+                title_offsets,
+                title_bytes,
+                total_views,
+                tag_rows,
+                tag_ids,
+                pop_kind,
+                pop_offsets,
+                pop_bytes,
+                tagname_offsets,
+                tagname_bytes,
+            ],
+        })
+    }
+
+    /// Writes the magic, the header counts, the section table (one
+    /// FNV-1a checksum per section) and the payload.
+    ///
+    /// # Errors
+    ///
+    /// Propagates any I/O failure from `writer`.
+    pub(crate) fn write<W: Write>(&self, mut writer: W) -> Result<(), DatasetError> {
+        writer.write_all(MAGIC)?;
+        for word in self.counts.into_iter().chain([SECTION_IDS.len() as u32]) {
+            writer.write_all(&word.to_le_bytes())?;
+        }
+        let mut offset = 0u64;
+        for (id, bytes) in SECTION_IDS.iter().zip(&self.bytes) {
+            writer.write_all(&id.to_le_bytes())?;
+            writer.write_all(&offset.to_le_bytes())?;
+            writer.write_all(&(bytes.len() as u64).to_le_bytes())?;
+            writer.write_all(&fnv1a(bytes).to_le_bytes())?;
+            offset += bytes.len() as u64;
+        }
+        for bytes in &self.bytes {
+            writer.write_all(bytes)?;
+        }
+        Ok(())
+    }
 }
 
 /// A little-endian reader over the header region.
@@ -213,22 +280,20 @@ fn u64_at(bytes: &[u8], idx: usize) -> u64 {
 }
 
 /// A fully *validated* columnar dataset whose sections are borrowed
-/// from the undecoded file image — the zero-copy counterpart of
-/// [`ColumnarDataset`].
+/// from the undecoded file image.
 ///
 /// Produced by [`decode_borrowed`], typically over a memory-mapped
 /// file ([`Mmap`](crate::mmap::Mmap)): headers, checksums and every
-/// column invariant are verified up front exactly as for the owned
-/// decode, but the section bytes themselves stay where they are.
-/// String pools are held as checked `&str`; fixed-width integer
-/// sections stay raw `&[u8]` (they are unaligned in the file) and are
-/// decoded per access with `from_le_bytes`.
+/// column invariant are verified up front, but the section bytes
+/// themselves stay where they are. String pools are held as checked
+/// `&str`; fixed-width integer sections stay raw `&[u8]` (they are
+/// unaligned in the file) and are decoded per access with
+/// `from_le_bytes`. Because the decoder validated every column, the
+/// accessors panic only on out-of-range indices.
 ///
-/// Implements [`ColumnarRead`], so
-/// [`filter_columnar`](crate::filter::filter_columnar) and friends
-/// consume a mapped file without a single per-video copy;
-/// [`to_owned`](ColumnarView::to_owned) materializes a
-/// [`ColumnarDataset`] when ownership is needed.
+/// [`filter_columnar`](crate::filter::filter_columnar) consumes a view
+/// without a single per-video copy; [`to_dataset`](Self::to_dataset)
+/// rebuilds records for code that wants them.
 #[derive(Debug, Clone, Copy)]
 pub struct ColumnarView<'a> {
     country_count: u32,
@@ -249,40 +314,6 @@ pub struct ColumnarView<'a> {
 }
 
 impl ColumnarView<'_> {
-    /// Copies every borrowed section into an owned [`ColumnarDataset`]
-    /// (one allocation per section, no re-validation — the view's
-    /// invariants carry over).
-    #[must_use]
-    pub fn to_owned(&self) -> ColumnarDataset {
-        fn le_u32s(bytes: &[u8]) -> Vec<u32> {
-            bytes
-                .chunks_exact(4)
-                .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-                .collect()
-        }
-        fn le_u64s(bytes: &[u8]) -> Vec<u64> {
-            bytes
-                .chunks_exact(8)
-                .map(|c| u64::from_le_bytes([c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]]))
-                .collect()
-        }
-        ColumnarDataset {
-            country_count: self.country_count,
-            key_offsets: le_u32s(self.key_offsets),
-            key_bytes: self.key_bytes.to_owned(),
-            title_offsets: le_u32s(self.title_offsets),
-            title_bytes: self.title_bytes.to_owned(),
-            total_views: le_u64s(self.total_views),
-            tag_rows: le_u32s(self.tag_rows),
-            tag_ids: le_u32s(self.tag_ids),
-            pop_kind: self.pop_kind.to_vec(),
-            pop_offsets: le_u32s(self.pop_offsets),
-            pop_bytes: self.pop_bytes.to_vec(),
-            tagname_offsets: le_u32s(self.tagname_offsets),
-            tagname_bytes: self.tagname_bytes.to_owned(),
-        }
-    }
-
     /// Slices a string pool by the offsets stored in a raw offset
     /// section (offsets pre-validated: monotone, in range, on char
     /// boundaries).
@@ -290,52 +321,157 @@ impl ColumnarView<'_> {
     fn pool_str<'a>(pool: &'a str, offsets: &[u8], i: usize) -> &'a str {
         &pool[u32_at(offsets, i) as usize..u32_at(offsets, i + 1) as usize]
     }
-}
 
-impl ColumnarRead for ColumnarView<'_> {
-    fn len(&self) -> usize {
+    /// Number of videos.
+    #[must_use]
+    pub fn len(&self) -> usize {
         self.video_count
     }
 
-    fn country_count(&self) -> usize {
+    /// Returns `true` if the dataset contains no videos.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.video_count == 0
+    }
+
+    /// Number of countries each popularity vector is expected to cover.
+    #[must_use]
+    pub fn country_count(&self) -> usize {
         self.country_count as usize
     }
 
-    fn tag_count(&self) -> usize {
+    /// Number of distinct interned tags.
+    #[must_use]
+    pub fn tag_count(&self) -> usize {
         self.tag_count
     }
 
-    fn key(&self, i: usize) -> &str {
+    /// The external platform key of video `i`.
+    #[must_use]
+    pub fn key(&self, i: usize) -> &str {
         Self::pool_str(self.key_bytes, self.key_offsets, i)
     }
 
-    fn title(&self, i: usize) -> &str {
+    /// The display title of video `i`.
+    #[must_use]
+    pub fn title(&self, i: usize) -> &str {
         Self::pool_str(self.title_bytes, self.title_offsets, i)
     }
 
-    fn total_views(&self, i: usize) -> u64 {
+    /// Total worldwide views of video `i`.
+    #[must_use]
+    pub fn total_views(&self, i: usize) -> u64 {
         u64_at(self.total_views, i)
     }
 
-    fn tag_range(&self, i: usize) -> core::ops::Range<usize> {
+    /// Range of video `i`'s tags in the flat tag-id column (the CSR
+    /// row `[spine[i], spine[i+1])`).
+    #[must_use]
+    pub fn tag_range(&self, i: usize) -> core::ops::Range<usize> {
         u32_at(self.tag_rows, i) as usize..u32_at(self.tag_rows, i + 1) as usize
     }
 
-    fn tag_id(&self, k: usize) -> u32 {
+    /// The `k`-th entry of the flat tag-id column.
+    #[must_use]
+    pub fn tag_id(&self, k: usize) -> u32 {
         u32_at(self.tag_ids, k)
     }
 
-    fn pop_kind(&self, i: usize) -> u8 {
+    /// The `POP_*` sentinel of video `i`.
+    #[must_use]
+    pub fn pop_kind(&self, i: usize) -> u8 {
         self.pop_kind[i]
     }
 
-    fn pop_payload(&self, i: usize) -> &[u8] {
+    /// Raw popularity payload bytes of video `i` (empty for
+    /// `POP_MISSING`; exactly `country_count` in-range intensities for
+    /// `POP_VALID`).
+    #[must_use]
+    pub fn pop_payload(&self, i: usize) -> &[u8] {
         &self.pop_bytes
             [u32_at(self.pop_offsets, i) as usize..u32_at(self.pop_offsets, i + 1) as usize]
     }
 
-    fn tag_name(&self, t: usize) -> &str {
+    /// The interned name of tag `t`.
+    #[must_use]
+    pub fn tag_name(&self, t: usize) -> &str {
         Self::pool_str(self.tagname_bytes, self.tagname_offsets, t)
+    }
+
+    /// Rebuilds a record-oriented [`Dataset`] for code paths that still
+    /// want [`VideoRecord`]s; the pipeline itself filters the view
+    /// directly.
+    ///
+    /// Uses the crate's fast `Dataset::from_parts` constructor instead of
+    /// replaying a [`DatasetBuilder`](crate::DatasetBuilder): tag names
+    /// are adopted verbatim (they were normalized when first interned)
+    /// and tag ids are taken as stored. `POP_CORRUPT` payloads are kept
+    /// byte for byte, so TSV↔bin round trips are lossless.
+    #[must_use]
+    pub fn to_dataset(&self) -> Dataset {
+        let names = (0..self.tag_count)
+            .map(|t| self.tag_name(t).to_owned())
+            .collect();
+        let videos = (0..self.video_count)
+            .map(|i| {
+                let payload = self.pop_payload(i).to_vec();
+                VideoRecord {
+                    id: VideoId::from_index(i),
+                    key: self.key(i).to_owned(),
+                    title: self.title(i).to_owned(),
+                    total_views: self.total_views(i),
+                    tags: self
+                        .tag_range(i)
+                        .map(|k| TagId::from_index(self.tag_id(k) as usize))
+                        .collect(),
+                    popularity: match self.pop_kind(i) {
+                        POP_MISSING => RawPopularity::Missing,
+                        POP_VALID => RawPopularity::decode(payload, self.country_count()),
+                        _ => RawPopularity::Corrupt(payload),
+                    },
+                }
+            })
+            .collect();
+        Dataset::from_parts(videos, TagInterner::from_names(names), self.country_count())
+    }
+
+    /// Records the section sizes as `dataset.*` gauges: string pools
+    /// (key and title offsets + bytes), postings (tag spine + ids),
+    /// the popularity block, the tag-name pool, and the video and tag
+    /// counts.
+    ///
+    /// Every value is a pure function of the dataset contents, so the
+    /// gauges belong in the deterministic subtree of a metrics report.
+    pub fn record_gauges(&self, recorder: &Recorder) {
+        let bytes = |sections: &[&[u8]]| sections.iter().map(|s| s.len() as u64).sum();
+        let gauges = [
+            (
+                "dataset.string_pool_bytes",
+                bytes(&[
+                    self.key_offsets,
+                    self.key_bytes.as_bytes(),
+                    self.title_offsets,
+                    self.title_bytes.as_bytes(),
+                ]),
+            ),
+            (
+                "dataset.postings_bytes",
+                bytes(&[self.tag_rows, self.tag_ids]),
+            ),
+            (
+                "dataset.popularity_bytes",
+                bytes(&[self.pop_kind, self.pop_offsets, self.pop_bytes]),
+            ),
+            (
+                "dataset.tag_names_bytes",
+                bytes(&[self.tagname_offsets, self.tagname_bytes.as_bytes()]),
+            ),
+            ("dataset.videos", self.video_count as u64),
+            ("dataset.tags", self.tag_count as u64),
+        ];
+        for (name, value) in gauges {
+            recorder.gauge_max(name, value);
+        }
     }
 }
 
@@ -349,10 +485,9 @@ struct SplitImage<'a> {
 
 /// Splits a file image into header counts and section slices.
 ///
-/// This is the shared front half of [`decode_borrowed`] and the
-/// convert fast path: magic, counts, table order, offset contiguity,
-/// truncation, per-section FNV-1a checksums and trailing-garbage are
-/// all enforced here.
+/// This is the front half of [`decode_borrowed`]: magic, counts,
+/// table order, offset contiguity, truncation, per-section FNV-1a
+/// checksums and trailing garbage are all enforced here.
 fn split_sections(buf: &[u8]) -> Result<SplitImage<'_>, DatasetError> {
     let body = buf
         .strip_prefix(MAGIC)
@@ -447,10 +582,9 @@ fn check_stride(bytes: &[u8], width: usize, what: &str) -> Result<(), DatasetErr
 }
 
 /// Deserializes a columnar dataset *in place*: every section stays a
-/// borrow of `buf`, but all validation the owned [`decode`] performs —
-/// checksums, offset monotonicity, UTF-8, tag-id bounds, popularity
-/// shapes — runs up front, so the returned view's accessors never
-/// re-check. This is the zero-copy load path for memory-mapped files.
+/// borrow of `buf`, but all validation — checksums, offset
+/// monotonicity, UTF-8, tag-id bounds, popularity shapes — runs up
+/// front, so the returned view's accessors never re-check. This is the zero-copy load path for memory-mapped files.
 ///
 /// # Errors
 ///
@@ -586,46 +720,6 @@ pub fn decode_borrowed(buf: &[u8]) -> Result<ColumnarView<'_>, DatasetError> {
     Ok(view)
 }
 
-/// Verifies that `buf` is a well-formed `bin v1` image — the same
-/// validation as [`decode_borrowed`], discarding the view. Used by the
-/// convert fast path to certify an input before copying it through
-/// unchanged.
-///
-/// # Errors
-///
-/// As for [`decode_borrowed`].
-pub fn verify(buf: &[u8]) -> Result<(), DatasetError> {
-    decode_borrowed(buf).map(|_| ())
-}
-
-/// Deserializes a columnar dataset from a full in-memory image.
-///
-/// Implemented as [`decode_borrowed`] + [`ColumnarView::to_owned`]:
-/// one validation path serves both modes, and the owned copy stays at
-/// O(sections) allocations.
-///
-/// # Errors
-///
-/// * [`DatasetError::Format`] on bad magic, a truncated header or
-///   payload, an out-of-order section table, or any column invariant
-///   violation.
-/// * [`DatasetError::Checksum`] when a section's recorded FNV-1a hash
-///   does not match its bytes.
-pub fn decode(buf: &[u8]) -> Result<ColumnarDataset, DatasetError> {
-    decode_borrowed(buf).map(|view| view.to_owned())
-}
-
-/// Deserializes from a reader (one `read_to_end` then [`decode`]).
-///
-/// # Errors
-///
-/// As for [`decode`], plus [`DatasetError::Io`] on read failure.
-pub fn read<R: Read>(mut reader: R) -> Result<ColumnarDataset, DatasetError> {
-    let mut buf = Vec::new();
-    reader.read_to_end(&mut buf)?;
-    decode(&buf)
-}
-
 /// Validates a raw LE `u32` offset column: `count + 1` entries,
 /// monotone, starting at 0 and ending at the pool length. Operates on
 /// the undecoded section bytes so the borrowed mode never materializes
@@ -679,10 +773,7 @@ fn check_boundaries_raw(offsets: &[u8], pool: &str, what: &str) -> Result<(), Da
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::columnar::ColumnarDataset;
     use crate::dataset::DatasetBuilder;
-    use crate::record::RawPopularity;
-    use crate::Dataset;
 
     fn sample() -> Dataset {
         let mut b = DatasetBuilder::new(3);
@@ -704,30 +795,112 @@ mod tests {
         b.build()
     }
 
-    fn encode(d: &Dataset) -> Vec<u8> {
+    /// Encodes `d`, lets `patch` edit the section bytes, and writes the
+    /// image through the section writer so every checksum matches the
+    /// patched bytes — only the column invariants can reject it.
+    fn encode_patched(d: &Dataset, patch: impl FnOnce(&mut [Vec<u8>; 12])) -> Vec<u8> {
+        let mut sections = Sections::from_dataset(d).unwrap();
+        patch(&mut sections.bytes);
         let mut buf = Vec::new();
-        write(&ColumnarDataset::from_dataset(d).unwrap(), &mut buf).unwrap();
+        sections.write(&mut buf).unwrap();
         buf
     }
 
+    fn encode(d: &Dataset) -> Vec<u8> {
+        encode_patched(d, |_| {})
+    }
+
+    /// Pins the `bin v1` bytes of a fixed image: any drift in section
+    /// order, widths, sentinels or checksums changes the digest.
     #[test]
-    fn round_trips_byte_exactly() {
-        let d = sample();
-        let c = ColumnarDataset::from_dataset(&d).unwrap();
+    fn encoding_matches_the_pinned_digest() {
+        let mut b = DatasetBuilder::new(3);
+        b.push_video_titled(
+            "valid",
+            "São Paulo ♫ 東京",
+            1_234_567,
+            &["pop", "música"],
+            RawPopularity::decode(vec![61, 0, 7], 3),
+        );
+        b.push_video_titled("untagged", "", 0, &[], RawPopularity::Missing);
+        b.push_video_titled(
+            "corrupt",
+            "c",
+            u64::MAX,
+            &["pop", "x"],
+            RawPopularity::Corrupt(vec![255, 1]),
+        );
         let mut buf = Vec::new();
-        write(&c, &mut buf).unwrap();
-        let r = decode(&buf).unwrap();
-        assert_eq!(r, c);
-        // Re-encode of the decoded dataset reproduces the bytes.
-        let mut again = Vec::new();
-        write(&r, &mut again).unwrap();
-        assert_eq!(buf, again);
+        crate::format::write_binary(&b.build(), &mut buf).unwrap();
+        assert_eq!(fnv1a(&buf), 0x8cb0_fe87_c104_9b8a);
+    }
+
+    #[test]
+    fn view_mirrors_the_records() {
+        let d = sample();
+        let buf = encode(&d);
+        let v = decode_borrowed(&buf).unwrap();
+        assert_eq!(v.len(), d.len());
+        assert_eq!(v.country_count(), d.country_count());
+        assert_eq!(v.tag_count(), d.tags().len());
+        for (i, r) in d.iter().enumerate() {
+            assert_eq!(v.key(i), r.key);
+            assert_eq!(v.title(i), r.title);
+            assert_eq!(v.total_views(i), r.total_views);
+            let tags: Vec<u32> = v.tag_range(i).map(|k| v.tag_id(k)).collect();
+            let expected: Vec<u32> = r.tags.iter().map(|t| t.index() as u32).collect();
+            assert_eq!(tags, expected);
+        }
+        for (id, name) in d.tags().iter() {
+            assert_eq!(v.tag_name(id.index()), name);
+        }
+    }
+
+    #[test]
+    fn round_trips_to_an_identical_dataset_and_image() {
+        let d = sample();
+        let buf = encode(&d);
+        let r = decode_borrowed(&buf).unwrap().to_dataset();
+        assert_eq!(r.len(), d.len());
+        assert_eq!(r.country_count(), d.country_count());
+        for (a, b) in d.iter().zip(r.iter()) {
+            assert_eq!(a, b);
+        }
+        // Lookup indices are rebuilt, not just the records.
+        assert_eq!(r.by_key("plain").unwrap().total_views, 0);
+        let pop = r.tags().id("pop").unwrap();
+        assert_eq!(r.videos_with_tag(pop).len(), 2);
+        // Re-encoding the rebuilt dataset reproduces the bytes.
+        assert_eq!(buf, encode(&r));
     }
 
     #[test]
     fn encode_is_deterministic() {
         let d = sample();
         assert_eq!(encode(&d), encode(&d));
+    }
+
+    #[test]
+    fn gauges_sum_to_the_payload_and_land_in_the_deterministic_subtree() {
+        let buf = encode(&sample());
+        let rec = Recorder::new();
+        decode_borrowed(&buf).unwrap().record_gauges(&rec);
+        let gauges = rec.finish().gauges;
+        assert_eq!(gauges.get("dataset.videos"), Some(&3));
+        assert_eq!(gauges.get("dataset.tags"), Some(&4));
+        let sections = [
+            "dataset.string_pool_bytes",
+            "dataset.postings_bytes",
+            "dataset.popularity_bytes",
+            "dataset.tag_names_bytes",
+        ];
+        assert!(sections.iter().all(|name| gauges[*name] > 0));
+        // The four groups cover every section but the 8-byte view
+        // counts: the payload is what follows the magic, the four
+        // header words and the section table.
+        let payload = buf.len() - MAGIC.len() - 16 - 28 * SECTION_IDS.len();
+        let total: u64 = sections.iter().map(|name| gauges[*name]).sum();
+        assert_eq!(total, (payload - 8 * 3) as u64);
     }
 
     #[test]
@@ -739,7 +912,7 @@ mod tests {
 
     #[test]
     fn rejects_bad_magic() {
-        let err = decode(b"#tagdist-dataset v1 countries=3\n").unwrap_err();
+        let err = decode_borrowed(b"#tagdist-dataset v1 countries=3\n").unwrap_err();
         assert!(matches!(err, DatasetError::Format { .. }), "{err}");
         assert!(err.to_string().contains("magic"));
     }
@@ -750,7 +923,7 @@ mod tests {
         // Chopping the file anywhere must produce an error, never a
         // panic or a silently short dataset.
         for cut in 0..buf.len() {
-            let err = decode(&buf[..cut]).unwrap_err();
+            let err = decode_borrowed(&buf[..cut]).unwrap_err();
             assert!(
                 matches!(
                     err,
@@ -767,7 +940,7 @@ mod tests {
         // Flip a byte in the middle of the payload (past the header).
         let tamper_at = buf.len() - 4;
         buf[tamper_at] ^= 0xff;
-        let err = decode(&buf).unwrap_err();
+        let err = decode_borrowed(&buf).unwrap_err();
         assert!(matches!(err, DatasetError::Checksum { .. }), "{err}");
         assert!(err.to_string().contains("checksum mismatch"));
     }
@@ -776,32 +949,24 @@ mod tests {
     fn rejects_trailing_garbage() {
         let mut buf = encode(&sample());
         buf.extend_from_slice(b"junk");
-        let err = decode(&buf).unwrap_err();
+        let err = decode_borrowed(&buf).unwrap_err();
         assert!(err.to_string().contains("trailing"), "{err}");
     }
 
     #[test]
     fn rejects_out_of_range_tag_ids() {
-        let d = sample();
-        let mut c = ColumnarDataset::from_dataset(&d).unwrap();
-        if let Some(first) = c.tag_ids.first_mut() {
-            *first = 10_000;
-        }
-        let mut buf = Vec::new();
-        write(&c, &mut buf).unwrap();
-        let err = decode(&buf).unwrap_err();
+        let buf = encode_patched(&sample(), |s| {
+            s[6][..4].copy_from_slice(&10_000u32.to_le_bytes());
+        });
+        let err = decode_borrowed(&buf).unwrap_err();
         assert!(err.to_string().contains("tag id"), "{err}");
     }
 
     #[test]
     fn rejects_invalid_valid_popularity() {
-        let d = sample();
-        let mut c = ColumnarDataset::from_dataset(&d).unwrap();
         // Claim the corrupt row (wrong length) is valid.
-        c.pop_kind[2] = POP_VALID;
-        let mut buf = Vec::new();
-        write(&c, &mut buf).unwrap();
-        let err = decode(&buf).unwrap_err();
+        let buf = encode_patched(&sample(), |s| s[7][2] = POP_VALID);
+        let err = decode_borrowed(&buf).unwrap_err();
         assert!(err.to_string().contains("valid popularity"), "{err}");
     }
 
@@ -817,9 +982,12 @@ mod tests {
     fn empty_dataset_round_trips() {
         let d = DatasetBuilder::new(60).build();
         let buf = encode(&d);
-        let r = decode(&buf).unwrap();
+        let v = decode_borrowed(&buf).unwrap();
+        assert!(v.is_empty());
+        assert_eq!(v.country_count(), 60);
+        assert_eq!(v.tag_count(), 0);
+        let r = v.to_dataset();
         assert!(r.is_empty());
         assert_eq!(r.country_count(), 60);
-        assert_eq!(r.tag_count(), 0);
     }
 }

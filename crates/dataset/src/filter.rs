@@ -27,9 +27,7 @@
 //!
 //! Two entry points build the same structure: [`filter`] from a
 //! record-oriented [`Dataset`], and [`filter_columnar`] straight from
-//! any [`ColumnarRead`] source (an owned
-//! [`ColumnarDataset`](crate::columnar::ColumnarDataset) or a
-//! zero-copy [`ColumnarView`](crate::binfmt::ColumnarView) over a
+//! a zero-copy [`ColumnarView`] over a `bin v1` image (typically a
 //! mapped file). Both visit videos in dataset order and apply the
 //! identical predicate, so their outputs are equal field for field —
 //! an invariant the proptest oracle below pins down.
@@ -38,7 +36,7 @@ use core::fmt;
 
 use tagdist_geo::PopularityView;
 
-use crate::columnar::{ColumnarRead, POP_VALID};
+use crate::binfmt::{ColumnarView, POP_VALID};
 use crate::dataset::Dataset;
 use crate::record::VideoId;
 use crate::tag::{TagId, TagInterner};
@@ -435,9 +433,10 @@ pub fn filter(dataset: &Dataset) -> CleanDataset {
     b.finish(dataset.tags().clone())
 }
 
-/// Applies the paper's §2 filter directly to columnar storage — the
-/// zero-copy path from a decoded (or memory-mapped) binary file to the
-/// clean working set, skipping [`Dataset`] materialization entirely.
+/// Applies the paper's §2 filter directly to a borrowed columnar view —
+/// the zero-copy path from a (typically memory-mapped) binary file to
+/// the clean working set, skipping [`Dataset`] materialization
+/// entirely.
 ///
 /// The predicate is the exact columnar restatement of [`filter`]'s:
 /// an empty tag row is `no_tags`; a popularity that is not
@@ -445,7 +444,7 @@ pub fn filter(dataset: &Dataset) -> CleanDataset {
 /// guarantees `country_count` in-range bytes — the decoder validated
 /// the shape — so "usable" reduces to the sentinel plus a non-zero
 /// byte). Output equals `filter(&src.to_dataset())` field for field.
-pub fn filter_columnar<C: ColumnarRead>(src: &C) -> CleanDataset {
+pub fn filter_columnar(src: &ColumnarView<'_>) -> CleanDataset {
     let mut b = CleanBuilder::new(src.country_count(), src.len());
     for i in 0..src.len() {
         let tag_range = src.tag_range(i);
@@ -476,8 +475,9 @@ pub fn filter_columnar<C: ColumnarRead>(src: &C) -> CleanDataset {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::columnar::ColumnarDataset;
+    use crate::binfmt::decode_borrowed;
     use crate::dataset::DatasetBuilder;
+    use crate::format::write_binary;
     use crate::record::RawPopularity;
 
     fn build() -> Dataset {
@@ -586,20 +586,27 @@ mod tests {
         assert!(s.contains("kept 2"));
     }
 
+    fn encode(d: &Dataset) -> Vec<u8> {
+        let mut buf = Vec::new();
+        write_binary(d, &mut buf).unwrap();
+        buf
+    }
+
     #[test]
     fn filter_columnar_equals_filter_via_records() {
         let d = build();
-        let c = ColumnarDataset::from_dataset(&d).unwrap();
-        let via_records = filter(&c.to_dataset());
-        let via_columns = filter_columnar(&c);
+        let bin = encode(&d);
+        let view = decode_borrowed(&bin).unwrap();
+        let via_records = filter(&view.to_dataset());
+        let via_columns = filter_columnar(&view);
         assert_eq!(via_records, via_columns);
         assert_eq!(via_columns.report(), filter(&d).report());
     }
 
     #[test]
     fn filter_columnar_on_empty_input() {
-        let c = ColumnarDataset::from_dataset(&DatasetBuilder::new(4).build()).unwrap();
-        let clean = filter_columnar(&c);
+        let bin = encode(&DatasetBuilder::new(4).build());
+        let clean = filter_columnar(&decode_borrowed(&bin).unwrap());
         assert!(clean.is_empty());
         assert_eq!(clean.country_count(), 4);
     }
@@ -608,14 +615,14 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
-    use crate::columnar::ColumnarDataset;
+    use crate::binfmt::decode_borrowed;
     use crate::dataset::DatasetBuilder;
     use crate::record::RawPopularity;
     use proptest::prelude::*;
 
     proptest! {
-        /// The tentpole oracle: `filter(columnar.to_dataset())` and
-        /// `filter_columnar(columnar)` agree field for field — columns,
+        /// The filter oracle: `filter(view.to_dataset())` and
+        /// `filter_columnar(view)` agree field for field — columns,
         /// postings order, interner and `FilterReport` counts — on
         /// random corpora mixing every popularity shape.
         #[test]
@@ -644,9 +651,11 @@ mod proptests {
                 };
                 b.push_video(&format!("v{i}"), *views, &tag_refs, pop);
             }
-            let columnar = ColumnarDataset::from_dataset(&b.build()).unwrap();
-            let via_records = filter(&columnar.to_dataset());
-            let via_columns = filter_columnar(&columnar);
+            let mut bin = Vec::new();
+            crate::format::write_binary(&b.build(), &mut bin).unwrap();
+            let view = decode_borrowed(&bin).unwrap();
+            let via_records = filter(&view.to_dataset());
+            let via_columns = filter_columnar(&view);
             prop_assert_eq!(via_records.report(), via_columns.report());
             prop_assert_eq!(&via_records, &via_columns);
         }

@@ -10,7 +10,6 @@
 use std::io::Read;
 
 use crate::binfmt;
-use crate::columnar::ColumnarDataset;
 use crate::dataset::Dataset;
 use crate::error::DatasetError;
 use crate::tsv;
@@ -47,7 +46,7 @@ pub fn sniff(bytes: &[u8]) -> Option<DatasetFormat> {
 /// * Whatever the format-specific decoder reports otherwise.
 pub fn decode_any(bytes: &[u8]) -> Result<Dataset, DatasetError> {
     match sniff(bytes) {
-        Some(DatasetFormat::Binary) => Ok(binfmt::decode(bytes)?.to_dataset()),
+        Some(DatasetFormat::Binary) => Ok(binfmt::decode_borrowed(bytes)?.to_dataset()),
         Some(DatasetFormat::Tsv) => tsv::read(bytes),
         None => Err(DatasetError::Parse {
             line: 1,
@@ -72,8 +71,7 @@ pub fn read_any<R: Read>(mut reader: R) -> Result<Dataset, DatasetError> {
 
 /// Serializes a dataset in the binary columnar format.
 ///
-/// Convenience wrapper over [`ColumnarDataset::from_dataset`] +
-/// [`binfmt::write`].
+/// Deterministic: the same dataset produces byte-identical output.
 ///
 /// # Errors
 ///
@@ -81,7 +79,7 @@ pub fn read_any<R: Read>(mut reader: R) -> Result<Dataset, DatasetError> {
 /// [`DatasetError::Format`] if the dataset exceeds the `u32` section
 /// limits of `bin v1`.
 pub fn write_binary<W: std::io::Write>(dataset: &Dataset, writer: W) -> Result<(), DatasetError> {
-    binfmt::write(&ColumnarDataset::from_dataset(dataset)?, writer)
+    binfmt::Sections::from_dataset(dataset)?.write(writer)
 }
 
 #[cfg(test)]

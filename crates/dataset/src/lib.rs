@@ -21,10 +21,11 @@
 //!   totals, tag-frequency shape),
 //! * [`tsv`] — a self-contained line-oriented serialization so crawls
 //!   can be saved and reloaded without external format crates,
-//! * [`binfmt`] / [`columnar`] — the `bin v1` binary columnar
-//!   serialization for paper-scale corpora (fixed-width sections,
-//!   FNV-1a checksums, O(sections) load allocations), with
-//!   [`mod@format`] sniffing so readers accept either format.
+//! * [`binfmt`] — the `bin v1` binary columnar serialization for
+//!   paper-scale corpora (fixed-width sections, FNV-1a checksums),
+//!   read only through the borrowed [`ColumnarView`] (zero-copy over
+//!   an [`Mmap`]), with [`mod@format`] sniffing so readers accept
+//!   either format.
 //!
 //! # Example
 //!
@@ -57,7 +58,6 @@
 )]
 
 pub mod binfmt;
-pub mod columnar;
 pub mod dataset;
 pub mod error;
 pub mod filter;
@@ -72,7 +72,6 @@ pub mod tag;
 pub mod tsv;
 
 pub use binfmt::ColumnarView;
-pub use columnar::{ColumnarDataset, ColumnarRead, MemoryFootprint};
 pub use dataset::{Dataset, DatasetBuilder};
 pub use error::DatasetError;
 pub use filter::{filter, filter_columnar, CleanDataset, CleanVideo, FilterReport};
@@ -81,6 +80,6 @@ pub use ingest::{CleanIngest, IngestDelta};
 pub use merge::merge;
 pub use mmap::Mmap;
 pub use record::{RawPopularity, VideoId, VideoRecord};
-pub use sample::{sample_stratified, sample_top_views, sample_uniform};
+pub use sample::sample_stratified;
 pub use stats::{DatasetStats, TagFrequency};
 pub use tag::{TagId, TagInterner};

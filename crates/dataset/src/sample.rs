@@ -3,8 +3,8 @@
 //! Paper-scale corpora are slow to iterate on; analyses are normally
 //! prototyped on subsamples. Uniform sampling under-represents the
 //! heavy tail of view counts (one *Baby ft. Ludacris* carries more
-//! views than hundreds of thousands of niche videos together), so a
-//! views-stratified sampler is provided alongside uniform and top-N.
+//! views than hundreds of thousands of niche videos together), so the
+//! sampler here is views-stratified.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -30,37 +30,6 @@ fn rebuild(dataset: &Dataset, picks: &[&VideoRecord]) -> Dataset {
         );
     }
     builder.build()
-}
-
-/// Uniformly samples `n` videos without replacement (seeded); returns
-/// the whole dataset if `n >= len`. Original relative order is kept,
-/// so repeated sampling with growing `n` is monotone in content but
-/// ids are reassigned densely.
-pub fn sample_uniform(dataset: &Dataset, n: usize, seed: u64) -> Dataset {
-    if n >= dataset.len() {
-        let picks: Vec<&VideoRecord> = dataset.iter().collect();
-        return rebuild(dataset, &picks);
-    }
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut indices: Vec<usize> = (0..dataset.len()).collect();
-    indices.shuffle(&mut rng);
-    indices.truncate(n);
-    indices.sort_unstable();
-    let picks: Vec<&VideoRecord> = indices
-        .into_iter()
-        .map(|i| dataset.video(crate::record::VideoId::from_index(i)))
-        .collect();
-    rebuild(dataset, &picks)
-}
-
-/// Keeps the `n` most-viewed videos (ties broken towards earlier
-/// records), in original order.
-pub fn sample_top_views(dataset: &Dataset, n: usize) -> Dataset {
-    let mut ranked: Vec<&VideoRecord> = dataset.iter().collect();
-    ranked.sort_by(|a, b| b.total_views.cmp(&a.total_views).then(a.id.cmp(&b.id)));
-    ranked.truncate(n);
-    ranked.sort_by_key(|r| r.id);
-    rebuild(dataset, &ranked)
 }
 
 /// Views-stratified sample: splits the corpus into `strata` view-count
@@ -117,41 +86,9 @@ mod tests {
     }
 
     #[test]
-    fn uniform_sample_has_requested_size_and_provenance() {
-        let d = corpus(100);
-        let s = sample_uniform(&d, 30, 1);
-        assert_eq!(s.len(), 30);
-        for v in s.iter() {
-            let original = d.by_key(&v.key).expect("sampled from the corpus");
-            assert_eq!(original.total_views, v.total_views);
-        }
-    }
-
-    #[test]
-    fn uniform_sample_is_seeded() {
-        let d = corpus(100);
-        let a = sample_uniform(&d, 20, 7);
-        let b = sample_uniform(&d, 20, 7);
-        let keys = |x: &Dataset| x.iter().map(|v| v.key.clone()).collect::<Vec<_>>();
-        assert_eq!(keys(&a), keys(&b));
-        let c = sample_uniform(&d, 20, 8);
-        assert_ne!(keys(&a), keys(&c));
-    }
-
-    #[test]
     fn oversampling_returns_everything() {
         let d = corpus(10);
-        assert_eq!(sample_uniform(&d, 50, 1).len(), 10);
         assert_eq!(sample_stratified(&d, 50, 4, 1).len(), 10);
-    }
-
-    #[test]
-    fn top_views_keeps_the_head() {
-        let d = corpus(50);
-        let s = sample_top_views(&d, 5);
-        assert_eq!(s.len(), 5);
-        let keys: Vec<&str> = s.iter().map(|v| v.key.as_str()).collect();
-        assert_eq!(keys, vec!["v0", "v1", "v2", "v3", "v4"]);
     }
 
     #[test]
@@ -170,7 +107,7 @@ mod tests {
     #[test]
     fn samples_reintern_tags_densely() {
         let d = corpus(100);
-        let s = sample_uniform(&d, 10, 2);
+        let s = sample_stratified(&d, 10, 2, 2);
         // 10 videos × unique tag + shared "t".
         assert_eq!(s.tags().len(), 11);
         for (i, (tag, _)) in s.tags().iter().enumerate() {

@@ -127,10 +127,9 @@ fn truncation_at_every_byte_is_an_error_not_a_panic() {
     assert!(decode_any(&bytes).is_ok());
 }
 
-/// The borrowed decoder applies the same validation as the owning one:
-/// every truncation point, every header corruption and payload
-/// bit-flip that `decode` rejects is rejected before a single borrowed
-/// section is handed out.
+/// The borrowed decoder validates before it hands out a single
+/// section: every truncation point, header corruption and payload
+/// bit-flip is rejected.
 #[test]
 fn borrowed_decode_rejects_truncation_and_corruption() {
     let bytes = bin_bytes(&sample());
@@ -140,7 +139,6 @@ fn borrowed_decode_rejects_truncation_and_corruption() {
             "borrowing a {cut}-byte prefix of {} must fail",
             bytes.len()
         );
-        assert!(binfmt::verify(&bytes[..cut]).is_err());
     }
     let mut bad = bytes.clone();
     let last = bad.len() - 1;
@@ -156,13 +154,11 @@ fn borrowed_decode_rejects_truncation_and_corruption() {
         "wrong version must not decode in borrowed mode"
     );
     assert!(binfmt::decode_borrowed(&bytes).is_ok());
-    assert!(binfmt::verify(&bytes).is_ok());
 }
 
 /// The mmap load path and the buffered read produce bit-identical
-/// datasets: same columnar image, same owned materialization, same
-/// filtered [`CleanDataset`] — zero-copy is a transport detail, never
-/// a semantic one.
+/// datasets: same rebuilt records, same filtered `CleanDataset` —
+/// zero-copy is a transport detail, never a semantic one.
 #[test]
 fn mmap_and_buffered_loads_decode_identically() {
     let d = sample();
@@ -176,8 +172,10 @@ fn mmap_and_buffered_loads_decode_identically() {
 
     let via_mmap = binfmt::decode_borrowed(&map).unwrap();
     let via_buffer = binfmt::decode_borrowed(&bytes).unwrap();
-    assert_eq!(via_mmap.to_owned(), via_buffer.to_owned());
-    assert_eq!(via_mmap.to_owned(), binfmt::decode(&bytes).unwrap());
+    let records = via_mmap.to_dataset();
+    assert_same(&records, &via_buffer.to_dataset());
+    assert_same(&records, &decode_any(&bytes).unwrap());
+    assert_eq!(tsv_bytes(&records), tsv_bytes(&d));
 
     let clean_mmap = filter_columnar(&via_mmap);
     assert_eq!(clean_mmap, filter_columnar(&via_buffer));
