@@ -409,9 +409,6 @@ impl ColumnarView<'_> {
     /// byte for byte, so TSV↔bin round trips are lossless.
     #[must_use]
     pub fn to_dataset(&self) -> Dataset {
-        let names = (0..self.tag_count)
-            .map(|t| self.tag_name(t).to_owned())
-            .collect();
         let videos = (0..self.video_count)
             .map(|i| {
                 let payload = self.pop_payload(i).to_vec();
@@ -432,7 +429,8 @@ impl ColumnarView<'_> {
                 }
             })
             .collect();
-        Dataset::from_parts(videos, TagInterner::from_names(names), self.country_count())
+        let tags = TagInterner::from_names((0..self.tag_count).map(|t| self.tag_name(t)));
+        Dataset::from_parts(videos, tags, self.country_count())
     }
 
     /// Records the section sizes as `dataset.*` gauges: string pools

@@ -466,10 +466,9 @@ pub fn filter_columnar(src: &ColumnarView<'_>) -> CleanDataset {
             pop,
         );
     }
-    let names: Vec<String> = (0..src.tag_count())
-        .map(|t| src.tag_name(t).to_owned())
-        .collect();
-    b.finish(TagInterner::from_names(names))
+    b.finish(TagInterner::from_names(
+        (0..src.tag_count()).map(|t| src.tag_name(t)),
+    ))
 }
 
 #[cfg(test)]

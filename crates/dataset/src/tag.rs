@@ -7,6 +7,7 @@
 
 use core::fmt;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Compact identifier of an interned tag.
 ///
@@ -54,6 +55,10 @@ impl From<TagId> for usize {
 /// trimmed, matching the common YouTube practice of case-insensitive
 /// tags; empty strings are rejected by [`TagInterner::intern`].
 ///
+/// Each name is stored once, as an `Arc<str>` shared by the id-ordered
+/// name list and the reverse map, so cloning an interner (every
+/// published ingest epoch does) allocates no string.
+///
 /// # Example
 ///
 /// ```
@@ -67,8 +72,8 @@ impl From<TagId> for usize {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct TagInterner {
-    names: Vec<String>,
-    ids: HashMap<String, TagId>,
+    names: Vec<Arc<str>>,
+    ids: HashMap<Arc<str>, TagId>,
 }
 
 impl PartialEq for TagInterner {
@@ -113,30 +118,32 @@ impl TagInterner {
             return Some(id);
         }
         let normalized = trimmed.to_lowercase();
-        if let Some(&id) = self.ids.get(&normalized) {
+        if let Some(&id) = self.ids.get(normalized.as_str()) {
             return Some(id);
         }
         let id = TagId::from_index(self.names.len());
-        self.names.push(normalized.clone());
-        self.ids.insert(normalized, id);
+        let name: Arc<str> = normalized.into();
+        self.names.push(Arc::clone(&name));
+        self.ids.insert(name, id);
         Some(id)
     }
 
     /// Rebuilds an interner from an ordered name list (the binary
     /// format's tag-name pool). Names must already be normalized and
     /// distinct; `id(name)` then maps each back to its dense position.
-    pub(crate) fn from_names(names: Vec<String>) -> TagInterner {
+    pub(crate) fn from_names<'a>(names: impl IntoIterator<Item = &'a str>) -> TagInterner {
+        let names: Vec<Arc<str>> = names.into_iter().map(Arc::from).collect();
         let ids = names
             .iter()
             .enumerate()
-            .map(|(i, n)| (n.clone(), TagId::from_index(i)))
+            .map(|(i, n)| (Arc::clone(n), TagId::from_index(i)))
             .collect();
         TagInterner { names, ids }
     }
 
     /// Looks up a tag without interning it.
     pub fn id(&self, tag: &str) -> Option<TagId> {
-        self.ids.get(&Self::normalize(tag)).copied()
+        self.ids.get(Self::normalize(tag).as_str()).copied()
     }
 
     /// Returns the normalized name of an interned tag.
@@ -153,7 +160,7 @@ impl TagInterner {
         self.names
             .iter()
             .enumerate()
-            .map(|(i, n)| (TagId::from_index(i), n.as_str()))
+            .map(|(i, n)| (TagId::from_index(i), &**n))
     }
 
     fn normalize(tag: &str) -> String {
@@ -229,8 +236,7 @@ mod tests {
         for tag in ["pop", "hip hop", "baile funk"] {
             t.intern(tag).unwrap();
         }
-        let names: Vec<String> = t.iter().map(|(_, n)| n.to_owned()).collect();
-        let mut r = TagInterner::from_names(names);
+        let mut r = TagInterner::from_names(t.iter().map(|(_, n)| n));
         assert_eq!(r.len(), t.len());
         for (id, name) in t.iter() {
             assert_eq!(r.id(name), Some(id));
@@ -254,6 +260,20 @@ mod tests {
     #[test]
     fn display_is_compact() {
         assert_eq!(TagId::from_index(17).to_string(), "t17");
+    }
+
+    #[test]
+    fn clones_share_every_name() {
+        let mut t = TagInterner::new();
+        for tag in ["pop", "hip hop", "baile funk"] {
+            t.intern(tag).unwrap();
+        }
+        let c = t.clone();
+        assert_eq!(c, t);
+        for (id, name) in t.iter() {
+            assert!(std::ptr::eq(name, c.name(id)));
+            assert_eq!(c.id(name), Some(id));
+        }
     }
 
     #[test]

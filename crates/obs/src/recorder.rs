@@ -101,8 +101,11 @@ impl Recorder {
     /// Only pass values derived from input data — see the
     /// [module docs](self).
     pub fn add(&self, name: &str, delta: u64) {
-        self.with_state(|state, _| {
-            *state.counters.entry(name.to_owned()).or_insert(0) += delta;
+        self.with_state(|state, _| match state.counters.get_mut(name) {
+            Some(count) => *count += delta,
+            None => {
+                state.counters.insert(name.to_owned(), delta);
+            }
         });
     }
 

@@ -1,8 +1,7 @@
 //! Streaming-ingest engine: per-batch deltas to the reconstruction
 //! matrix and tag aggregates, with epoch-versioned snapshots.
 //!
-//! [`IngestEngine`] sits on top of
-//! [`CleanIngest`](tagdist_dataset::CleanIngest): each applied batch
+//! [`IngestEngine`] sits on top of [`CleanIngest`]: each applied batch
 //! extends the clean columns, reconstructs the new videos' per-country
 //! view rows, and folds them into per-tag aggregate rows — so after N
 //! batches the engine holds exactly the state a cold
@@ -27,12 +26,6 @@
 //!   a video in record order. No thread count anywhere in the delta
 //!   path can reorder an addition.
 //!
-//! Aggregates live in *first-populated* slot order while streaming
-//! (tags appear as their first carrier arrives); publishing a snapshot
-//! reorders the slot rows into the [`TagId`]-ordered compact matrix
-//! [`TagViewTable`] expects. Reordering copies f64 values — copies
-//! preserve bits.
-//!
 //! # Epochs and double-buffering
 //!
 //! [`publish`](IngestEngine::publish) finalizes the current state into
@@ -43,18 +36,33 @@
 //! stays alive in their hands while the engine builds and flips the
 //! next one, which is all a double buffer is. No reader ever observes
 //! a half-applied batch.
+//!
+//! # What a publish copies
+//!
+//! Reconstruction and aggregate rows live in immutable `Arc` segments
+//! that epochs share. Applying a batch writes its new videos' rows into
+//! one open buffer, and every aggregate row it creates or touches into
+//! another — a touched row is first copied out of its sealed segment,
+//! then extended, so the addition sequence above is unchanged. A
+//! publish seals each open buffer as one new segment and hands the
+//! snapshot the segment lists plus the `u32`/[`TagId`] spines that
+//! locate each row. Every row the batch did not write is the same
+//! memory in both epochs. Superseded aggregate rows are garbage: the
+//! engine compacts the live rows into one segment once dead rows
+//! outnumber them, and merges small trailing segments so that even a
+//! stream of 1-record batches keeps O(log n) segments (DESIGN.md §15).
+//! What stays O(corpus) per publish is the clean snapshot: the column
+//! builder clone and its posting sort.
 
 use std::sync::{Arc, Mutex, PoisonError};
 
 use tagdist_dataset::{CleanDataset, CleanIngest, Dataset, IngestDelta, TagId};
-use tagdist_geo::{kernel, CountryMatrix, GeoDist, GeoError};
+use tagdist_geo::{kernel, GeoDist, GeoError};
 use tagdist_obs::SpanGuard;
 
+use crate::rows::RowLog;
 use crate::tagviews::{TagViewTable, NO_ROW};
 use crate::views::{reconstruct_intensities_into, Reconstruction};
-
-/// Slot sentinel: the tag has not acquired a carrier yet.
-const NO_SLOT: u32 = u32::MAX;
 
 /// One immutable, internally consistent view of the stream: the clean
 /// dataset, its reconstruction and the per-tag aggregates as of a
@@ -149,6 +157,11 @@ pub struct IngestStats {
     pub rows_touched: u64,
     /// Epochs published.
     pub epoch_flips: u64,
+    /// `f64` rows copied out of sealed segments: one per aggregate row
+    /// a batch touched that an earlier publish had sealed, plus every
+    /// row a segment merge or a compaction moved. Fresh rows are
+    /// written once and never counted.
+    pub rows_copied: u64,
 }
 
 /// The streaming-ingest engine: applies video batches as deltas and
@@ -157,15 +170,21 @@ pub struct IngestStats {
 pub struct IngestEngine {
     clean: CleanIngest,
     traffic: GeoDist,
-    /// Flat `kept × countries` reconstruction rows, appended per video.
-    recon: Vec<f64>,
-    /// Indexed by [`TagId`]: the tag's aggregate slot, or [`NO_SLOT`].
-    slot_of: Vec<u32>,
-    /// Slot → tag, in first-populated order (NOT `TagId` order — the
-    /// publish step reorders).
-    slot_tags: Vec<TagId>,
-    /// Flat `slots × countries` aggregate rows.
-    agg: Vec<f64>,
+    /// Sealed reconstruction rows, keyed by clean position.
+    recon: RowLog,
+    /// Clean positions with a sealed reconstruction row.
+    sealed: usize,
+    /// Reconstruction rows of positions `sealed..kept`, row-major.
+    recon_open: Vec<f64>,
+    /// Sealed aggregate rows, keyed by [`TagId`].
+    agg: RowLog,
+    /// Aggregate rows the unpublished batches created or touched.
+    agg_open: Vec<f64>,
+    /// Open aggregate row → its tag's index.
+    open_tags: Vec<u32>,
+    /// Indexed by [`TagId`]: the tag's row in `agg_open`, or
+    /// [`NO_ROW`].
+    open_row: Vec<u32>,
     /// Indexed by [`TagId`]: retained carriers so far.
     video_counts: Vec<u32>,
     stats: IngestStats,
@@ -176,13 +195,17 @@ pub struct IngestEngine {
 impl IngestEngine {
     /// Creates an empty engine reconstructing against `traffic`.
     pub fn new(traffic: GeoDist) -> IngestEngine {
+        let cc = traffic.len();
         IngestEngine {
-            clean: CleanIngest::new(traffic.len()),
+            clean: CleanIngest::new(cc),
             traffic,
-            recon: Vec::new(),
-            slot_of: Vec::new(),
-            slot_tags: Vec::new(),
-            agg: Vec::new(),
+            recon: RowLog::new(cc),
+            sealed: 0,
+            recon_open: Vec::new(),
+            agg: RowLog::new(cc),
+            agg_open: Vec::new(),
+            open_tags: Vec::new(),
+            open_row: Vec::new(),
             video_counts: Vec::new(),
             stats: IngestStats::default(),
             epoch: 0,
@@ -248,33 +271,44 @@ impl IngestEngine {
         // Grow the vocabulary-wide spines to cover tags this batch
         // interned (carriers or not — matching the cold table's
         // full-width `row_of`).
-        self.slot_of.resize(self.clean.tag_count(), NO_SLOT);
+        self.open_row.resize(self.clean.tag_count(), NO_ROW);
         self.video_counts.resize(self.clean.tag_count(), 0);
         for pos in delta.first_kept..delta.first_kept + delta.kept {
-            // Reconstruct the new video's row, appended to the flat
-            // matrix — per-row arithmetic identical to the cold
+            // Reconstruct the new video's row into the open buffer —
+            // per-row arithmetic identical to the cold
             // `Reconstruction::compute`.
-            let row = pos * cc;
-            self.recon.resize(row + cc, 0.0);
+            let row = (pos - self.sealed) * cc;
+            self.recon_open.resize(row + cc, 0.0);
+            let views = &mut self.recon_open[row..row + cc];
             reconstruct_intensities_into(
                 self.clean.intensities_at(pos),
                 self.clean.views_at(pos),
                 &self.traffic,
-                &mut self.recon[row..row + cc],
+                views,
             )?;
             // Fold it into each carried tag's aggregate: positions
             // arrive ascending, so this extends every tag's
             // dataset-order addition sequence exactly as the cold
-            // aggregation replays it.
+            // aggregation replays it. A row an earlier publish sealed
+            // is copied into the open buffer first (copy-on-write).
             for &tag in self.clean.tags_at(pos) {
                 let t = tag.index();
-                if self.slot_of[t] == NO_SLOT {
-                    self.slot_of[t] = self.slot_tags.len() as u32;
-                    self.slot_tags.push(tag);
-                    self.agg.resize(self.agg.len() + cc, 0.0);
+                if self.open_row[t] == NO_ROW {
+                    self.open_row[t] = self.open_tags.len() as u32;
+                    self.open_tags.push(t as u32);
+                    match self.agg.get(t) {
+                        Some(sealed) => {
+                            self.agg_open.extend_from_slice(sealed);
+                            self.stats.rows_copied += 1;
+                        }
+                        None => self.agg_open.resize(self.agg_open.len() + cc, 0.0),
+                    }
                 }
-                let slot = self.slot_of[t] as usize * cc;
-                kernel::add_assign(&mut self.agg[slot..slot + cc], &self.recon[row..row + cc]);
+                let slot = self.open_row[t] as usize * cc;
+                kernel::add_assign(
+                    &mut self.agg_open[slot..slot + cc],
+                    &self.recon_open[row..row + cc],
+                );
                 self.video_counts[t] += 1;
                 self.stats.rows_touched += 1;
             }
@@ -291,42 +325,47 @@ impl IngestEngine {
     ///
     /// The snapshot's `clean`/`recon`/`table` equal a cold
     /// `filter → compute → aggregate` of the concatenated corpus field
-    /// for field: the clean columns replay the cold column writes, the
-    /// reconstruction matrix is a bit-preserving copy of the appended
-    /// rows, and the aggregate slots are reordered (copied) into the
-    /// [`TagId`]-ordered compact matrix the cold table builds.
+    /// for field: the clean columns replay the cold column writes, and
+    /// every reconstruction and aggregate row holds the bits the cold
+    /// build computes — sealing moves the open buffers into new shared
+    /// segments without rewriting a row, and merges and compaction
+    /// copy `f64` values, which preserves bits.
     ///
     /// # Errors
     ///
-    /// Never fails in practice — the flat buffers match their declared
-    /// shapes by construction — but matrix assembly is fallible, so the
-    /// signature is honest.
+    /// Never fails: the signature is kept for callers that treat
+    /// publishing as fallible.
     pub fn publish(&mut self) -> Result<Arc<EpochSnapshot>, GeoError> {
-        let cc = self.traffic.len();
         let clean = self.clean.snapshot();
-        let recon = Reconstruction::from_matrix(CountryMatrix::from_flat(
-            self.clean.kept(),
-            cc,
-            self.recon.clone(),
-        )?);
+        let kept = self.clean.kept();
+        let cc = self.traffic.len();
 
-        // Reorder first-populated slots into the TagId-ordered compact
-        // spine. `video_counts[t] > 0 ⟺ slot_of[t] != NO_SLOT`, and
-        // f64 copies preserve bits.
-        let tag_count = self.video_counts.len();
-        let mut row_of = vec![NO_ROW; tag_count];
-        let mut tag_of_row = Vec::new();
-        let mut rows_data = Vec::with_capacity(self.agg.len());
-        for (t, &slot) in self.slot_of.iter().enumerate() {
-            if slot == NO_SLOT {
-                continue;
-            }
-            row_of[t] = tag_of_row.len() as u32;
-            tag_of_row.push(TagId::from_index(t));
-            let s = slot as usize * cc;
-            rows_data.extend_from_slice(&self.agg[s..s + cc]);
+        // Seal this epoch's rows as one new segment per store.
+        let positions = (self.sealed..kept).map(|pos| pos as u32).collect();
+        self.stats.rows_copied += self
+            .recon
+            .seal(std::mem::take(&mut self.recon_open), positions);
+        self.sealed = kept;
+        for &t in &self.open_tags {
+            self.open_row[t as usize] = NO_ROW;
         }
-        let rows = CountryMatrix::from_flat(tag_of_row.len(), cc, rows_data)?;
+        self.stats.rows_copied += self.agg.seal(
+            std::mem::take(&mut self.agg_open),
+            std::mem::take(&mut self.open_tags),
+        );
+        let recon = Reconstruction::from_rows(self.recon.store(0..kept));
+
+        // The TagId-ordered compact spine: `video_counts[t] > 0` exactly
+        // when the tag has an aggregate row.
+        let mut row_of = vec![NO_ROW; self.video_counts.len()];
+        let mut tag_of_row = Vec::new();
+        for (t, &count) in self.video_counts.iter().enumerate() {
+            if count > 0 {
+                row_of[t] = tag_of_row.len() as u32;
+                tag_of_row.push(TagId::from_index(t));
+            }
+        }
+        let rows = self.agg.store(tag_of_row.iter().map(|tag| tag.index()));
         let table =
             TagViewTable::from_parts(row_of, tag_of_row, rows, self.video_counts.clone(), cc);
 
@@ -371,8 +410,8 @@ impl IngestEngine {
 
     /// Records the engine's deterministic counters under an `ingest`
     /// child span of `parent` (`ingest.batches`, `.videos_seen`,
-    /// `.duplicates`, `.videos_kept`, `.rows_touched`,
-    /// `.epoch_flips`) — the gated smoke-subtree section. Counters are
+    /// `.duplicates`, `.videos_kept`, `.rows_touched`, `.epoch_flips`,
+    /// `.rows_copied`) — the gated smoke-subtree section. Counters are
     /// totals over the engine's lifetime and never depend on
     /// `TAGDIST_THREADS`: the delta path is sequential by design.
     pub fn record_obs(&self, parent: &SpanGuard) {
@@ -384,6 +423,7 @@ impl IngestEngine {
         obs.add("ingest.videos_kept", self.stats.videos_kept);
         obs.add("ingest.rows_touched", self.stats.rows_touched);
         obs.add("ingest.epoch_flips", self.stats.epoch_flips);
+        obs.add("ingest.rows_copied", self.stats.rows_copied);
     }
 }
 
@@ -620,6 +660,173 @@ mod tests {
             report.counters.get("ingest.videos_kept").copied(),
             Some(engine.stats().videos_kept)
         );
+        assert_eq!(report.counters.get("ingest.rows_copied"), Some(&0));
+    }
+
+    /// A corpus whose batches each touch a fraction of a wide
+    /// vocabulary (`t0..t96`) plus three hot tags every batch touches.
+    fn wide_corpus(n: usize) -> Dataset {
+        let mut b = DatasetBuilder::new(3);
+        for i in 0..n {
+            let wide = format!("t{}", (i * 7) % 97);
+            let hot = format!("hot{}", i % 3);
+            let pop = RawPopularity::decode(vec![(i % 61) as u8 + 1, ((i * 5) % 61) as u8, 9], 3);
+            b.push_video(
+                &format!("v{i}"),
+                1 + (i * i % 9_973) as u64,
+                &[&wide, &hot],
+                pop,
+            );
+        }
+        b.build()
+    }
+
+    /// Row values of a snapshot, copied out of its segments.
+    fn deep_rows(s: &EpochSnapshot) -> (Vec<Vec<f64>>, Vec<Vec<f64>>) {
+        let recon = s.recon.iter().map(<[f64]>::to_vec).collect();
+        let table = s.table.iter().map(|(_, row)| row.to_vec()).collect();
+        (recon, table)
+    }
+
+    /// Publish N → N+1 copies only what batch N+1 wrote: every
+    /// reconstruction row of epoch N, and every aggregate row the batch
+    /// did not touch, is the same memory in epoch N+1 — except that a
+    /// compacting publish moves the aggregate rows. Readers pinned to
+    /// epoch N keep exactly the values it was published with.
+    #[test]
+    fn consecutive_epochs_share_every_row_the_batch_did_not_write() {
+        let d = wide_corpus(240);
+        let traffic = traffic3();
+        let mut engine = IngestEngine::new(traffic);
+        let mut pinned: Vec<(Arc<EpochSnapshot>, EpochSnapshot, _)> = Vec::new();
+        let (mut compacting, mut shared_untouched) = (0, 0);
+        for b in 0..8 {
+            engine.apply_range(&d, b * 30, (b + 1) * 30).unwrap();
+            let next = engine.publish().unwrap();
+            if let Some((prev, _, _)) = pinned.last() {
+                for pos in 0..prev.recon.len() {
+                    let (old, new) = (prev.recon.views(pos), next.recon.views(pos));
+                    assert!(std::ptr::eq(old.unwrap(), new.unwrap()), "recon row {pos}");
+                }
+                let touched: std::collections::HashSet<TagId> = (prev.clean.len()
+                    ..next.clean.len())
+                    .flat_map(|pos| next.clean.tags_of(pos).iter().copied())
+                    .collect();
+                let compacted = engine.agg.is_compacted();
+                compacting += usize::from(compacted);
+                for (tag, old) in prev.table.iter() {
+                    let new = next.table.views(tag).unwrap();
+                    if touched.contains(&tag) {
+                        assert!(!std::ptr::eq(old, new), "touched {tag} rewritten");
+                    } else if compacted {
+                        assert_eq!(old, new);
+                    } else {
+                        assert!(std::ptr::eq(old, new), "untouched {tag} shared");
+                        shared_untouched += 1;
+                    }
+                }
+            }
+            let deep = deep_rows(&next);
+            pinned.push((Arc::clone(&next), (*next).clone(), deep));
+        }
+        assert!(
+            compacting > 0,
+            "the stream must include a compacting publish"
+        );
+        assert!(shared_untouched > 0);
+        for (epoch, clone, deep) in &pinned {
+            assert_eq!(**epoch, *clone);
+            assert_eq!(deep_rows(epoch), *deep);
+        }
+        assert_equivalent(&pinned[7].1, &cold(&d, &traffic3()));
+    }
+
+    /// Streams `d` in batches of the cyclic `sizes`, checking every
+    /// epoch against a cold rebuild of its prefix; returns the engine
+    /// and the number of publishes that compacted the aggregate rows.
+    fn stream_checked(d: &Dataset, sizes: &[usize]) -> (IngestEngine, usize) {
+        let mut engine = IngestEngine::new(traffic3());
+        let mut compactions = 0;
+        let mut from = 0;
+        for size in sizes.iter().cycle() {
+            if from == d.len() {
+                break;
+            }
+            let to = (from + size).min(d.len());
+            engine.apply_range(d, from, to).unwrap();
+            let before = engine.agg.segment_count();
+            let snapshot = engine.publish().unwrap();
+            compactions += usize::from(before > 0 && engine.agg.is_compacted());
+            let prefix = {
+                let mut b = DatasetBuilder::new(3);
+                for i in 0..to {
+                    let v = d.video(tagdist_dataset::VideoId::from_index(i));
+                    let names: Vec<&str> = v.tags.iter().map(|&t| d.tags().name(t)).collect();
+                    b.push_video(&v.key, v.total_views, &names, v.popularity.clone());
+                }
+                b.build()
+            };
+            let rebuild =
+                EpochSnapshot::rebuild(engine.epoch(), filter(&prefix), &traffic3()).unwrap();
+            assert_eq!(*snapshot, rebuild, "epoch {}", engine.epoch());
+            from = to;
+        }
+        (engine, compactions)
+    }
+
+    #[test]
+    fn one_record_batches_keep_logarithmically_many_segments() {
+        let d = wide_corpus(300);
+        let (engine, _) = stream_checked(&d, &[1]);
+        let kept = engine.clean().kept();
+        let bits = (usize::BITS - kept.leading_zeros()) as usize;
+        assert_eq!(engine.epoch(), 300);
+        assert!(engine.recon.segment_count() <= crate::rows::SMALL_FRACTION + bits);
+        assert!(engine.agg.segment_count() <= crate::rows::SMALL_FRACTION + bits);
+    }
+
+    #[test]
+    fn mixed_batches_merge_and_compact_to_the_cold_state() {
+        // Runs of 1-record batches merge; a 40-record batch supersedes
+        // much of the vocabulary at once and tips it into compaction.
+        let d = wide_corpus(400);
+        let (engine, compactions) = stream_checked(&d, &[1, 1, 1, 1, 1, 40]);
+        // Reconstruction rows never die, so fewer segments than
+        // publishes means merges ran.
+        assert!(engine.recon.segment_count() < engine.epoch() as usize);
+        assert!(compactions > 0);
+    }
+
+    /// `ingest.rows_copied` stays within twice the rows the batches
+    /// wrote (new reconstruction rows plus aggregate rows created or
+    /// touched) while no batch is small enough to merge: copy-on-write
+    /// copies each touched row once, and a compaction copies fewer live
+    /// rows than the dead rows it reclaims. Batches below
+    /// `1/SMALL_FRACTION` of the log add the merge rule's binary-counter
+    /// copies, at most one per row per doubling.
+    #[test]
+    fn rows_copied_is_bounded_by_the_rows_written() {
+        let d = wide_corpus(400);
+        for batch in [50, 25, 7, 1] {
+            let mut engine = IngestEngine::new(traffic3());
+            let mut written = 0;
+            let mut from = 0;
+            while from < d.len() {
+                let to = (from + batch).min(d.len());
+                engine.apply_range(&d, from, to).unwrap();
+                written += (engine.recon_open.len() / 3 + engine.open_tags.len()) as u64;
+                engine.publish().unwrap();
+                from = to;
+            }
+            let copied = engine.stats().rows_copied;
+            let doublings = u64::from(u64::BITS - written.leading_zeros());
+            let bound = if batch >= 25 { 2 } else { 2 + doublings };
+            assert!(copied > 0, "batch {batch}");
+            assert!(
+                copied <= bound * written,
+                "batch {batch}: {copied} > {bound} × {written}"
+            );
+        }
     }
 }
 
@@ -690,6 +897,45 @@ mod proptests {
             prop_assert_eq!(&snapshot.clean, &clean);
             prop_assert_eq!(&snapshot.recon, &cold_recon);
             prop_assert_eq!(&snapshot.table, &cold_table);
+        }
+
+        /// Many small batches (1-record batches included) drive the
+        /// engine through segment merges and compactions; *every*
+        /// published epoch equals a cold rebuild of its prefix.
+        #[test]
+        fn every_epoch_of_a_small_batch_stream_equals_its_prefix_rebuild(
+            specs in proptest::collection::vec(
+                (1u64..1_000_000, 1usize..4, proptest::collection::vec(1u8..=61, 3)),
+                20..80
+            ),
+            sizes in proptest::collection::vec(1usize..6, 1..40),
+        ) {
+            let d = build(&specs);
+            let traffic = GeoDist::from_slice(&[4.0, 2.0, 1.0]).unwrap();
+            let mut engine = IngestEngine::new(traffic.clone());
+            let mut from = 0;
+            for k in 0.. {
+                if from == d.len() {
+                    break;
+                }
+                let to = (from + sizes[k % sizes.len()]).min(d.len());
+                engine.apply_range(&d, from, to).unwrap();
+                let snapshot = engine.publish().unwrap();
+                let prefix = {
+                    let mut b = DatasetBuilder::new(3);
+                    for i in 0..to {
+                        let v = d.video(tagdist_dataset::VideoId::from_index(i));
+                        let names: Vec<&str> =
+                            v.tags.iter().map(|&t| d.tags().name(t)).collect();
+                        b.push_video(&v.key, v.total_views, &names, v.popularity.clone());
+                    }
+                    b.build()
+                };
+                let rebuild =
+                    EpochSnapshot::rebuild(k as u64 + 1, filter(&prefix), &traffic).unwrap();
+                prop_assert_eq!(&*snapshot, &rebuild);
+                from = to;
+            }
         }
     }
 }

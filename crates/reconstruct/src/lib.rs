@@ -62,6 +62,7 @@
 pub mod error;
 pub mod ingest;
 pub mod refine;
+mod rows;
 pub mod sensitivity;
 pub mod tagviews;
 pub mod views;

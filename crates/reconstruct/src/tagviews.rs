@@ -6,21 +6,27 @@
 //! The folksonomy vocabulary is long-tailed: most interned tags carry
 //! no retained video at all. [`TagViewTable`] therefore stores the
 //! aggregates CSR-style — a full-width `row_of` spine maps every
-//! [`TagId`] to a compact row of one contiguous
-//! [`CountryMatrix`] holding only the tags
-//! that actually carry views, in `TagId` order (DESIGN.md §9).
+//! [`TagId`] to a compact row holding only the tags that actually carry
+//! views, in `TagId` order (DESIGN.md §9). A cold
+//! [`aggregate`](TagViewTable::aggregate) writes those rows into one
+//! contiguous segment; an epoch published by the ingest engine shares
+//! every row its batch did not touch with the epoch before (DESIGN.md
+//! §15).
 
 use tagdist_dataset::{CleanDataset, TagId};
-use tagdist_geo::{kernel, top_k_by, CountryMatrix, GeoDist, GeoError};
+use tagdist_geo::{kernel, top_k_by, GeoDist, GeoError};
 use tagdist_obs::SpanGuard;
 use tagdist_par::Pool;
 
+use crate::rows::RowStore;
 use crate::views::Reconstruction;
 
 /// Spine sentinel: the tag has no retained videos, hence no row.
 pub(crate) const NO_ROW: u32 = u32::MAX;
 
 /// Aggregated per-country views for every tag of a filtered dataset.
+/// Equality compares the spines and each row's values, not where the
+/// rows are stored.
 ///
 /// # Example
 ///
@@ -48,9 +54,8 @@ pub struct TagViewTable {
     /// Compact row → [`TagId`], ascending (row `r` aggregates tag
     /// `tag_of_row[r]`).
     tag_of_row: Vec<TagId>,
-    /// One contiguous `populated_tags × countries` matrix of Eq. 3
-    /// aggregates, rows in [`TagId`] order.
-    rows: CountryMatrix,
+    /// `populated_tags` Eq. 3 aggregate rows, in [`TagId`] order.
+    rows: RowStore,
     /// Indexed by [`TagId`]: retained videos carrying the tag.
     video_counts: Vec<u32>,
     country_count: usize,
@@ -135,9 +140,10 @@ impl TagViewTable {
         // count-and-invert passes here used to rebuild. Only the
         // compact row spine (populated tags in TagId order) remains to
         // derive.
+        let populated = clean.unique_tags();
         let mut video_counts = vec![0u32; tag_count];
         let mut row_of = vec![NO_ROW; tag_count];
-        let mut tag_of_row = Vec::new();
+        let mut tag_of_row = Vec::with_capacity(populated);
         for index in 0..tag_count {
             let count = clean.videos_with_tag(TagId::from_index(index)).len();
             video_counts[index] = count as u32;
@@ -146,25 +152,24 @@ impl TagViewTable {
                 tag_of_row.push(TagId::from_index(index));
             }
         }
-        let populated = tag_of_row.len();
 
         // Every compact row is the dataset-order sum of its postings'
         // reconstructed rows. Rows are independent, so they fan out
-        // over the pool writing straight into the one contiguous
-        // matrix; each row's addition sequence never depends on
-        // scheduling, so the result is bit-identical at any thread
-        // count — and to a serial video-order accumulation.
-        let recon_matrix = recon.matrix();
-        let mut rows = CountryMatrix::zeros(populated, country_count);
+        // over the pool writing straight into one contiguous buffer;
+        // each row's addition sequence never depends on scheduling, so
+        // the result is bit-identical at any thread count — and to a
+        // serial video-order accumulation.
+        let recon_rows = recon.rows();
+        let mut data = vec![0.0; populated * country_count];
         let _: Vec<()> = pool.par_fill(
             &tag_of_row,
-            rows.as_mut_slice(),
+            &mut data,
             country_count,
             |_start, chunk, block| {
                 for (j, &tag) in chunk.iter().enumerate() {
                     let dst = &mut block[j * country_count..(j + 1) * country_count];
                     for &pos in clean.videos_with_tag(tag) {
-                        kernel::add_assign(dst, recon_matrix.row(pos as usize));
+                        kernel::add_assign(dst, recon_rows.row(pos as usize));
                     }
                 }
             },
@@ -173,7 +178,7 @@ impl TagViewTable {
         TagViewTable {
             row_of,
             tag_of_row,
-            rows,
+            rows: RowStore::from_dense(populated, country_count, data),
             video_counts,
             country_count,
         }
@@ -187,11 +192,11 @@ impl TagViewTable {
     pub(crate) fn from_parts(
         row_of: Vec<u32>,
         tag_of_row: Vec<TagId>,
-        rows: CountryMatrix,
+        rows: RowStore,
         video_counts: Vec<u32>,
         country_count: usize,
     ) -> TagViewTable {
-        debug_assert_eq!(rows.rows(), tag_of_row.len());
+        debug_assert_eq!(rows.len(), tag_of_row.len());
         TagViewTable {
             row_of,
             tag_of_row,
@@ -219,7 +224,7 @@ impl TagViewTable {
         if row == NO_ROW {
             return None;
         }
-        self.rows.get_row(row as usize)
+        self.rows.get(row as usize)
     }
 
     /// The tag's geographic view *distribution*.
@@ -247,7 +252,7 @@ impl TagViewTable {
     pub fn iter(&self) -> impl Iterator<Item = (TagId, &[f64])> + '_ {
         self.tag_of_row
             .iter()
-            .zip(self.rows.iter_rows())
+            .zip(self.rows.iter())
             .map(|(&tag, row)| (tag, row))
     }
 
@@ -430,10 +435,9 @@ pub(crate) mod reference {
     pub fn aggregate(clean: &CleanDataset, recon: &Reconstruction) -> TagShard {
         assert_eq!(clean.len(), recon.len());
         let country_count = recon.country_count();
-        let matrix = recon.matrix();
         let mut shard = TagShard::empty(clean.tags().len());
-        for (pos, video) in clean.iter().enumerate() {
-            shard.add_video(video.tags, matrix.row(pos), country_count);
+        for (video, row) in clean.iter().zip(recon.iter()) {
+            shard.add_video(video.tags, row, country_count);
         }
         shard
     }

@@ -1,14 +1,17 @@
 //! Per-video view reconstruction (inverting Eq. 1 via Eq. 2).
 
-use tagdist_geo::{kernel, CountryMatrix, CountryVec, GeoDist, GeoError, PopularityVector};
+use tagdist_geo::{kernel, CountryVec, GeoDist, GeoError, PopularityVector};
 
 use tagdist_dataset::CleanDataset;
 use tagdist_obs::SpanGuard;
 use tagdist_par::Pool;
 
+use crate::rows::RowStore;
+
 /// Reconstructs a video's per-country view vector from its popularity
 /// map, total view count and a traffic prior, writing into a
-/// caller-owned row (normally a [`CountryMatrix`] row — no allocation).
+/// caller-owned row (normally a row of a reconstruction — no
+/// allocation).
 ///
 /// Implements the paper's §3 inversion:
 /// `views(v)[c] ∝ pop(v)[c] · p̂yt[c]`, rescaled so the entries sum to
@@ -86,12 +89,14 @@ pub fn reconstruct_views(
 }
 
 /// Reconstructed per-country views for every video of a
-/// [`CleanDataset`], stored as one contiguous [`CountryMatrix`] (row
-/// `i` ↔ dataset position `i`, the order of [`CleanDataset::iter`])
-/// instead of one heap vector per video.
+/// [`CleanDataset`]: row `i` ↔ dataset position `i`, the order of
+/// [`CleanDataset::iter`]. A cold [`compute`](Reconstruction::compute)
+/// stores every row in one contiguous segment; an epoch published by
+/// the ingest engine shares the rows of earlier epochs (see
+/// [`ingest`](crate::ingest)). Equality compares rows, not storage.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Reconstruction {
-    matrix: CountryMatrix,
+    rows: RowStore,
 }
 
 impl Reconstruction {
@@ -174,37 +179,37 @@ impl Reconstruction {
             result?;
         }
         Ok(Reconstruction {
-            matrix: CountryMatrix::from_flat(views.len(), cols, data)?,
+            rows: RowStore::from_dense(views.len(), cols, data),
         })
     }
 
-    /// Wraps an already-computed matrix (the streaming-ingest engine's
+    /// Wraps already-computed rows (the streaming-ingest engine's
     /// snapshot path, which reconstructs rows one video at a time with
     /// [`reconstruct_intensities_into`] — the same per-row arithmetic
     /// [`compute`](Reconstruction::compute) runs, hence bit-identical).
-    pub(crate) fn from_matrix(matrix: CountryMatrix) -> Reconstruction {
-        Reconstruction { matrix }
+    pub(crate) fn from_rows(rows: RowStore) -> Reconstruction {
+        Reconstruction { rows }
     }
 
     /// Number of reconstructed videos.
     pub fn len(&self) -> usize {
-        self.matrix.rows()
+        self.rows.len()
     }
 
     /// Returns `true` if no videos were reconstructed.
     pub fn is_empty(&self) -> bool {
-        self.matrix.is_empty()
+        self.len() == 0
     }
 
     /// World size of every row.
     pub fn country_count(&self) -> usize {
-        self.matrix.cols()
+        self.rows.cols()
     }
 
     /// Estimated view vector of the video at dataset position `pos`,
-    /// as a borrowed matrix row.
+    /// as a borrowed row.
     pub fn views(&self, pos: usize) -> Option<&[f64]> {
-        self.matrix.get_row(pos)
+        self.rows.get(pos)
     }
 
     /// Estimated view *distribution* of the video at position `pos`.
@@ -216,26 +221,31 @@ impl Reconstruction {
     /// [`compute`](Reconstruction::compute), whose mass is positive by
     /// construction).
     pub fn distribution(&self, pos: usize) -> Result<GeoDist, GeoError> {
-        let row = self.matrix.get_row(pos).ok_or(GeoError::ZeroMass)?;
+        let row = self.views(pos).ok_or(GeoError::ZeroMass)?;
         GeoDist::from_slice(row)
     }
 
     /// Iterates over the estimated view vectors in dataset order.
     pub fn iter(&self) -> impl Iterator<Item = &[f64]> + '_ {
-        self.matrix.iter_rows()
+        self.rows.iter()
     }
 
-    /// The whole reconstruction as a contiguous matrix (the input the
-    /// parallel aggregation and evaluation stages read rows from).
-    pub fn matrix(&self) -> &CountryMatrix {
-        &self.matrix
+    /// The row store (the input the aggregation stage reads rows
+    /// from).
+    pub(crate) fn rows(&self) -> &RowStore {
+        &self.rows
     }
 
     /// Sums all rows: the estimated per-country platform traffic
     /// implied by the reconstruction (an internal consistency check
-    /// against the prior).
+    /// against the prior). Accumulated in row order, so the result is
+    /// deterministic.
     pub fn implied_traffic(&self) -> CountryVec {
-        self.matrix.column_sums()
+        let mut out = vec![0.0; self.country_count()];
+        for row in self.iter() {
+            kernel::add_assign(&mut out, row);
+        }
+        CountryVec::from_values(out)
     }
 }
 
@@ -367,7 +377,6 @@ mod tests {
         assert_close(r.views(1).unwrap(), &[0.0, 100.0]);
         assert!(r.views(2).is_none());
         assert_eq!(r.iter().count(), 2);
-        assert_eq!(r.matrix().rows(), 2);
     }
 
     #[test]
@@ -386,9 +395,8 @@ mod tests {
         for threads in [2, 8] {
             let parallel =
                 Reconstruction::compute_with(&Pool::new(threads), &clean, &traffic2()).unwrap();
-            assert_eq!(reference.matrix(), parallel.matrix());
+            assert_eq!(reference, parallel);
         }
-        assert_eq!(reference.matrix().rows(), reference.len());
     }
 
     #[test]
